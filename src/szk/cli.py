@@ -8,8 +8,10 @@ itself or with the oracle; must never happen).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import random
 import sys
 from typing import List, Optional
@@ -256,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("group")
     p.add_argument("--pool-bound", type=int, default=4)
     p.add_argument("--max-depth", type=int, default=6)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallelism cap (search itself is serial)")
     p.set_defaults(func=_cmd_breadth)
 
     p = sub.add_parser("shatter", help="shatter function of coset families")
@@ -281,7 +281,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush at
+        # exit is silent too (the SIGPIPE note in the signal module docs);
+        # a stdout without a file descriptor raises UnsupportedOperation
+        with contextlib.suppress(OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, ValueError, oracle.PoolOverflowError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1

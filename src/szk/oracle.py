@@ -2,9 +2,11 @@
 
 A family of p.p. subgroups witnesses depth k exactly when every
 leave-one-out intersection has infinite index over the full intersection.
-The search enumerates the canonical candidate pool, deduplicates formulas
-by their evaluated profile, and explores families depth-first with three
-prunings, all of which preserve exhaustiveness:
+The search counts the canonical candidate pool and refuses it when it
+exceeds the cap, before any formula is enumerated.  It then enumerates the
+pool, deduplicates formulas by their evaluated profile, and explores
+families depth-first with three prunings, all of which preserve
+exhaustiveness:
 
   - a formula of finite index can never appear in a valid family;
   - validity is closed downward, so supersets of invalid families die;
@@ -17,12 +19,13 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .core import (Index, PPFormula, SzmielewDescription, div, is_omega, tor)
+from .core import (Div, Index, PPFormula, SzmielewDescription, div, is_omega,
+                   is_prime, tor)
 from .normalize import normalize
-from .ppeval import (_block_index, _eval_block, _formula_requirements,
-                     _local_meet, _tail_depth, _WHOLE, materialize)
+from .ppeval import (KINDS, Block, _formula_requirements, _index, _locals,
+                     _meet_locals, index_json, materialize)
 
 DEFAULT_MAX_POOL = 50000
 
@@ -43,17 +46,12 @@ def _pool_primes(strict: SzmielewDescription) -> List[int]:
         q = 2
         while q in primes:
             q += 1
-            while not _is_prime(q):
+            while not is_prime(q):
                 q += 1
         primes = sorted(primes + [q])
     if not primes:
         primes = [2]
     return primes
-
-
-def _is_prime(n: int) -> bool:
-    from .core import is_prime
-    return is_prime(n)
 
 
 def _enumerate_formulas(primes: Sequence[int], B: int) -> List[PPFormula]:
@@ -80,100 +78,55 @@ def _enumerate_formulas(primes: Sequence[int], B: int) -> List[PPFormula]:
 
 def _search_key(f: PPFormula) -> int:
     # divisibility candidates are tried first during the family search
-    from .core import Div as _Div
-    return 0 if len(f.atoms) == 1 and isinstance(f.atoms[0], _Div) else 1
+    return 0 if len(f.atoms) == 1 and isinstance(f.atoms[0], Div) else 1
 
 
-def _materialize_for_pool(strict: SzmielewDescription, primes: Sequence[int],
-                          B: int):
+def _pool(desc: SzmielewDescription, B: int
+          ) -> Tuple[List[PPFormula], Tuple[Block, ...]]:
+    """Pool formulas and blocks; an over-cap pool is refused unbuilt."""
+    strict = normalize(desc)
+    primes = _pool_primes(strict)
+    n = len(primes)
+    # (B+1)^n - 1 torsion products and B(B+1)/2 div atoms per prime
+    size = (B + 1) ** n - 1 + n * B * (B + 1) // 2
+    if size > _max_pool():
+        raise PoolOverflowError(
+            "candidate pool has %d formulas, cap is %d (set SZK_MAX_POOL)"
+            % (size, _max_pool()))
     bounds = {p: B for p in primes}
-    extra: Tuple[int, ...] = ()
-    if strict.prime_tail is not None:
-        listed = set(strict.primes())
-        extra = tuple(sorted(set(primes) - listed))
-    return materialize(strict, bounds, extra)
+    extra = tuple(sorted(set(primes) - set(strict.primes())))
+    return _enumerate_formulas(primes, B), materialize(strict, bounds, extra)
 
 
-def _locals_of(blocks, formula: PPFormula) -> tuple:
-    return tuple(_eval_block(kind, data, formula) for kind, data, _m in blocks)
-
-
-def _meet_locals(blocks, a: tuple, b: tuple) -> tuple:
-    return tuple(_local_meet(kind, x, y)
-                 for (kind, _d, _m), x, y in zip(blocks, a, b))
-
-
-def _index_of(blocks, big: tuple, small: tuple) -> Index:
-    out = Index.one()
-    for (kind, data, mult), x, y in zip(blocks, big, small):
-        out = out * _block_index(kind, data, mult, x, y)
-        if out.is_infinite:
-            return out
-    return out
-
-
-def _block_inf(kind: str, data: tuple, mult, vh, vk) -> bool:
-    """Whether the per-block index of vk inside vh is infinite."""
-    if vh == vk:
-        return False
-    if kind == "cyc":
-        return is_omega(mult)
-    if kind == "tf":
-        return vk is None or is_omega(mult)
-    if kind == "div":
-        return vh is None or is_omega(mult)
-    if kind in ("q", "ptail"):
-        return True
-    # tail pairs
-    (ah, bh), (ak, bk) = vh, vk
-    if bh is None and bk is not None:
-        return True
-    limit = (ak - ah) if bh is None else (bh - bk)
-    if limit > 0:
-        return True
-    if not is_omega(mult):
-        return False
-    _p, split = data
-    horizon = max(split,
-                  ah + (bh if bh is not None else 0),
-                  ak + (bk if bk is not None else 0))
-    for n in range(split + 1, horizon + 1):
-        if _tail_depth(ak, bk, n) > _tail_depth(ah, bh, n):
-            return True
-    return False
-
-
-def _index_infinite(blocks, big: tuple, small: tuple) -> bool:
-    for (kind, data, mult), x, y in zip(blocks, big, small):
-        if _block_inf(kind, data, mult, x, y):
-            return True
-    return False
-
-
-def _whole_locals(blocks) -> tuple:
-    return tuple(_WHOLE[kind] for kind, _d, _m in blocks)
+def _distinct(formulas: Sequence[PPFormula], blocks: Tuple[Block, ...]
+              ) -> Iterator[Tuple[PPFormula, tuple]]:
+    """The first formula of each profile on blocks, with that profile."""
+    seen = set()
+    for f in formulas:
+        key = _locals(blocks, f)
+        if key not in seen:
+            seen.add(key)
+            yield f, key
 
 
 def candidate_pool(desc: SzmielewDescription, B: int) -> List[PPFormula]:
     """Canonical single-atom pool plus coprime tor-products, profile-deduped."""
     if B < 1:
         raise ValueError("pool bound must be >= 1")
-    strict = normalize(desc)
-    primes = _pool_primes(strict)
-    formulas = _enumerate_formulas(primes, B)
-    if len(formulas) > _max_pool():
-        raise PoolOverflowError(
-            "candidate pool has %d formulas, cap is %d (set SZK_MAX_POOL)"
-            % (len(formulas), _max_pool()))
-    blocks = _materialize_for_pool(strict, primes, B)
-    seen = set()
-    out = []
-    for f in formulas:
-        key = _locals_of(blocks, f)
-        if key not in seen:
-            seen.add(key)
-            out.append(f)
-    return out
+    formulas, blocks = _pool(desc, B)
+    return [f for f, _key in _distinct(formulas, blocks)]
+
+
+def _leave_one_out(blocks: Tuple[Block, ...], locs: Sequence[tuple]
+                   ) -> Iterator[Tuple[tuple, tuple]]:
+    """Per member: the meet of all other members, and the full meet."""
+    whole = _locals(blocks, PPFormula.top())
+    for i, li in enumerate(locs):
+        rest = whole
+        for j, lj in enumerate(locs):
+            if j != i:
+                rest = _meet_locals(blocks, rest, lj)
+        yield rest, _meet_locals(blocks, rest, li)
 
 
 @dataclass(frozen=True)
@@ -188,16 +141,10 @@ def verify_inp(desc: SzmielewDescription, family: Sequence[PPFormula]) -> InpVer
     strict = normalize(desc)
     bounds, extra = _formula_requirements(strict, family)
     blocks = materialize(strict, bounds, extra)
-    locs = [_locals_of(blocks, f) for f in family]
-    transcript = []
-    for i in range(len(family)):
-        rest = _whole_locals(blocks)
-        for j, lj in enumerate(locs):
-            if j != i:
-                rest = _meet_locals(blocks, rest, lj)
-        full = _meet_locals(blocks, rest, locs[i])
-        transcript.append(_index_of(blocks, rest, full))
-    return InpVerdict(all(t.is_infinite for t in transcript), tuple(transcript))
+    locs = [_locals(blocks, f) for f in family]
+    transcript = tuple(_index(blocks, rest, full)
+                       for rest, full in _leave_one_out(blocks, locs))
+    return InpVerdict(all(t.is_infinite for t in transcript), transcript)
 
 
 @dataclass(frozen=True)
@@ -208,7 +155,109 @@ class BreadthResult:
     exhausted: bool
 
 
-def _slot_bound(blocks) -> int:
+# ---------------------------------------------------------------------------
+# Slot modes
+#
+# A slot is one way a family member can be the strict extreme at a block;
+# KINDS[kind].modes(mult) names the modes of a block.  A mode gives
+# occupies(mult, v), whether a member with local v can hold the slot;
+# beats(mult, vx, vy), whether member y loses to the occupant x; and
+# loser(mult, vals), a test of whether a local loses to some occupant with
+# a local in vals.  solve runs that test in its innermost pruning loop, so
+# it is one comparison against a precomputed extreme.
+
+
+def _tf_key(v):
+    return (1, 0) if v is None else (0, v)
+
+
+class _Deepest:
+    """Unique deepest on an omega chain; the zero subgroup (None) is deepest."""
+
+    def occupies(self, mult, v):
+        return _tf_key(v) > (0, 0)
+
+    def beats(self, mult, vx, vy):
+        return _tf_key(vy) < _tf_key(vx)
+
+    def loser(self, mult, vals):
+        top = max(_tf_key(v) for v in vals)
+        return lambda v: _tf_key(v) < top
+
+
+class _Degenerate:
+    """The member hits a degenerate local that every other member avoids."""
+
+    def __init__(self, hits, clear):
+        self.hits, self.clear = hits, clear
+
+    def occupies(self, mult, v):
+        return self.hits(v)
+
+    def beats(self, mult, vx, vy):
+        return self.clear(vy)
+
+    def loser(self, mult, vals):
+        return self.clear
+
+
+class _MinBound:
+    """Unique minimal torsion bound on an omega divisible block."""
+
+    def occupies(self, mult, v):
+        return v is not None
+
+    def beats(self, mult, vx, vy):
+        return vy is None or vy > vx
+
+    def loser(self, mult, vals):
+        mn = min(vals)
+        return lambda v: v is None or v > mn
+
+
+class _TailBound:
+    """Unique minimal torsion bound on a tail."""
+
+    def occupies(self, mult, v):
+        return v[1] is not None
+
+    def beats(self, mult, vx, vy):
+        return vy[1] is None or vy[1] > vx[1]
+
+    def loser(self, mult, vals):
+        mn = min(v[1] for v in vals)
+        return lambda v: v[1] is None or v[1] > mn
+
+
+class _TailOffset:
+    """Unique maximal depth offset on a tail.  A finite-multiplicity tail
+    additionally needs every bound unbounded, including the occupant's own."""
+
+    def occupies(self, mult, v):
+        return v[0] >= 1 and (is_omega(mult) or v[1] is None)
+
+    def beats(self, mult, vx, vy):
+        return vy[0] < vx[0] and (is_omega(mult) or vy[1] is None)
+
+    def loser(self, mult, vals):
+        top = max(v[0] for v in vals)
+        if is_omega(mult):
+            return lambda v: v[0] < top
+        return lambda v: v[0] < top and v[1] is None
+
+
+_MODES = {
+    "max": _Deepest(),
+    "tfzero": _Degenerate(lambda v: v is None, lambda v: v is not None),
+    "divzero": _Degenerate(lambda v: v is not None, lambda v: v is None),
+    "bool": _Degenerate(lambda v: v is False, lambda v: v is True),
+    "divmin": _MinBound(),
+    "tailb": _TailBound(),
+    "taila": _TailOffset(),
+}
+
+
+def _slot_bound(blocks: Tuple[Block, ...]) -> int:
     """Upper bound on any valid family's size from unique-extreme slots.
 
     Each member of a valid family must be the strict extreme at some block:
@@ -221,122 +270,40 @@ def _slot_bound(blocks) -> int:
     """
     total = 0
     for kind, _data, mult in blocks:
-        if kind == "cyc":
-            total += 1 if is_omega(mult) else 0
-        elif kind == "tail":
-            total += 2 if is_omega(mult) else 1
-        else:
-            total += 1
+        n = len(KINDS[kind].modes(mult))
+        total += n if is_omega(mult) else min(n, 1)
     return total
 
 
-def _slots_of(blocks) -> List[Tuple[int, str]]:
-    """One entry per way a family member can be the strict extreme at a block.
-
-    Modes: "max" (unique deepest on an omega chain), "tfzero" / "divzero" /
-    "bool" (the member hits the degenerate local while every other member
-    stays clear of it), "divmin" / "tailb" (unique minimal torsion bound),
-    "taila" (unique maximal depth offset on a tail).
-    """
-    out: List[Tuple[int, str]] = []
-    for bi, (kind, _data, mult) in enumerate(blocks):
-        if kind == "cyc":
-            out.append((bi, "max"))
-        elif kind == "tf":
-            out.append((bi, "max" if is_omega(mult) else "tfzero"))
-        elif kind == "div":
-            out.append((bi, "divmin" if is_omega(mult) else "divzero"))
-        elif kind in ("q", "ptail"):
-            out.append((bi, "bool"))
-        else:
-            out.append((bi, "tailb"))
-            out.append((bi, "taila"))
-    return out
-
-
-def _tf_key(v):
-    return (1, 0) if v is None else (0, v)
-
-
-def _can_occupy(mode: str, mult, v) -> bool:
-    if mode == "max":
-        return _tf_key(v) > (0, 0)
-    if mode == "tfzero":
-        return v is None
-    if mode == "divzero":
-        return v is not None
-    if mode == "bool":
-        return v is False
-    if mode == "divmin":
-        return v is not None
-    if mode == "tailb":
-        return v[1] is not None
-    # taila: a positive offset; a finite-multiplicity tail additionally needs
-    # every bound unbounded, including the occupant's own
-    return v[0] >= 1 and (is_omega(mult) or v[1] is None)
-
-
-def _beats(mode: str, mult, vx, vy) -> bool:
-    """Whether member y (local vy) loses to the slot occupant x (local vx)."""
-    if mode == "max":
-        return _tf_key(vy) < _tf_key(vx)
-    if mode == "tfzero":
-        return vy is not None
-    if mode == "divzero":
-        return vy is None
-    if mode == "bool":
-        return vy is True
-    if mode == "divmin":
-        return vy is None or vy > vx
-    if mode == "tailb":
-        return vy[1] is None or vy[1] > vx[1]
-    return vy[0] < vx[0] and (is_omega(mult) or vy[1] is None)
+def _slots_of(blocks: Tuple[Block, ...]) -> List[tuple]:
+    """One (block index, mode) entry per slot of each block."""
+    return [(bi, _MODES[name]) for bi, (kind, _data, mult) in enumerate(blocks)
+            for name in KINDS[kind].modes(mult)]
 
 
 def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResult:
     if B < 1 or maxK < 1:
         raise ValueError("pool bound and depth cap must be >= 1")
-    strict = normalize(desc)
-    primes = _pool_primes(strict)
-    formulas = _enumerate_formulas(primes, B)
-    if len(formulas) > _max_pool():
-        raise PoolOverflowError(
-            "candidate pool has %d formulas, cap is %d (set SZK_MAX_POOL)"
-            % (len(formulas), _max_pool()))
-    blocks = _materialize_for_pool(strict, primes, B)
-    # finite-multiplicity cyclic blocks can never contribute an infinite
-    # index, so validity only depends on the locals of the other blocks
-    rblocks = tuple(b for b in blocks
-                    if b[0] != "cyc" or is_omega(b[2]))
-    whole = _whole_locals(rblocks)
+    formulas, blocks = _pool(desc, B)
+    # a block without slots (a finite-multiplicity cyclic block) can never
+    # contribute an infinite index, so validity only depends on the locals
+    # of the other blocks
+    blocks = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
+    whole = _locals(blocks, PPFormula.top())
 
     # dedup by relevant profile, drop finite-index subgroups
-    cands: List[Tuple[PPFormula, tuple]] = []
-    seen = set()
-    for f in formulas:
-        key = _locals_of(rblocks, f)
-        if key in seen:
-            continue
-        seen.add(key)
-        if _index_infinite(rblocks, whole, key):
-            cands.append((f, key))
+    cands = [(f, key) for f, key in _distinct(formulas, blocks)
+             if _index(blocks, whole, key).is_infinite]
     cands.sort(key=lambda fk: _search_key(fk[0]))
-    blocks = rblocks
 
     ub = min(_slot_bound(blocks), len(cands))
     target = min(maxK, ub)
     slots = _slots_of(blocks)
 
     def family_valid(idxs: List[int]) -> bool:
-        for i in idxs:
-            rest = whole
-            for j in idxs:
-                if j != i:
-                    rest = _meet_locals(blocks, rest, cands[j][1])
-            full = _meet_locals(blocks, rest, cands[i][1])
-            if not _index_infinite(blocks, rest, full):
-                return False
-        return True
+        locs = [cands[i][1] for i in idxs]
+        return all(_index(blocks, rest, full).is_infinite
+                   for rest, full in _leave_one_out(blocks, locs))
 
     def solve(chosen_slots: Tuple[int, ...]) -> Optional[List[int]]:
         """Find a family occupying exactly these slots, or prove none exists.
@@ -358,43 +325,24 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
         pos = {bi: k for k, bi in enumerate(bis)}
         mults = [blocks[bi][2] for bi, _mode in S]
         at = [pos[bi] for bi, _mode in S]
+        modes = [mode for _bi, mode in S]
         t = len(S)
 
         domains: List[List[int]] = []
-        for k, (_bi, mode) in enumerate(S):
+        for k in range(t):
             domains.append([c for c in range(len(classes))
-                            if _can_occupy(mode, mults[k], classes[c][1][at[k]])])
+                            if modes[k].occupies(mults[k], classes[c][1][at[k]])])
 
         # prune every class that cannot lose to any possible occupant of a
         # slot, iterating to a fixed point
         changed = True
         while changed:
             changed = False
-            for k, (_bi, mode) in enumerate(S):
+            for k in range(t):
                 if not domains[k]:
                     return None
-                vals = [classes[c][1][at[k]] for c in domains[k]]
-                if mode == "max":
-                    top = max(_tf_key(v) for v in vals)
-                    ok = lambda v: _tf_key(v) < top
-                elif mode == "divmin":
-                    mn = min(v for v in vals)
-                    ok = lambda v: v is None or v > mn
-                elif mode == "tailb":
-                    mn = min(v[1] for v in vals)
-                    ok = lambda v: v[1] is None or v[1] > mn
-                elif mode == "taila":
-                    top = max(v[0] for v in vals)
-                    if is_omega(mults[k]):
-                        ok = lambda v: v[0] < top
-                    else:
-                        ok = lambda v: v[0] < top and v[1] is None
-                elif mode == "tfzero":
-                    ok = lambda v: v is not None
-                elif mode == "divzero":
-                    ok = lambda v: v is None
-                else:
-                    ok = lambda v: v is True
+                ok = modes[k].loser(mults[k],
+                                    [classes[c][1][at[k]] for c in domains[k]])
                 for j in range(t):
                     if j == k:
                         continue
@@ -415,21 +363,20 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
                 vx = classes[c][1][at[k]]
                 nxt = list(doms)
                 dead = False
-                for later in order[step + 1:]:
-                    lk, lmode = later, S[later][1]
+                for lk in order[step + 1:]:
                     kept = []
-                    for z in doms[later]:
+                    for z in doms[lk]:
                         if z == c:
                             continue
                         vz = classes[z][1]
-                        if (_beats(S[k][1], mults[k], vx, vz[at[k]])
-                                and _beats(lmode, mults[lk],
-                                           vz[at[lk]], classes[c][1][at[lk]])):
+                        if (modes[k].beats(mults[k], vx, vz[at[k]])
+                                and modes[lk].beats(mults[lk], vz[at[lk]],
+                                                    classes[c][1][at[lk]])):
                             kept.append(z)
                     if not kept:
                         dead = True
                         break
-                    nxt[later] = kept
+                    nxt[lk] = kept
                 if dead:
                     continue
                 got = assign(step + 1, nxt, picked + [(k, c)])
@@ -443,12 +390,11 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
     for t in range(1, target + 1):
         found = None
         for chosen in itertools.combinations(range(len(slots)), t):
-            tails_used = [slots[si][0] for si in chosen]
-            if len(set(tails_used)) < t:
-                # both modes of one tail block; only an omega tail allows it
-                dup = [bi for bi in set(tails_used) if tails_used.count(bi) > 1]
-                if any(not is_omega(blocks[bi][2]) for bi in dup):
-                    continue
+            used = [slots[si][0] for si in chosen]
+            # two modes of one block (a tail) need multiplicity omega
+            if any(used.count(bi) > 1 and not is_omega(blocks[bi][2])
+                   for bi in set(used)):
+                continue
             found = solve(chosen)
             if found is not None:
                 break
@@ -465,7 +411,6 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
 
 
 def verdict_json(v: InpVerdict) -> dict:
-    from .ppeval import index_json
     return {"valid": v.valid,
             "transcript": [index_json(t) for t in v.transcript]}
 

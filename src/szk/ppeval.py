@@ -6,13 +6,9 @@ unbounded-length prime, and one residual block for an all-primes tail.
 Tails are split far enough that every formula atom acts uniformly on the
 residual, which makes the (a, b) pair coordinates exact.
 
-Local subgroup coordinates per block kind (None encodes the extreme value):
-  cyc (p, n): depth d, the subgroup p^d Z(p^n)
-  tf p:       depth a for p^a Z_(p), or None for the zero subgroup
-  div p:      torsion bound b (the p^b-torsion of Z(p^inf)), None for whole
-  q:          True (whole) or False (zero)
-  tail (p,T): pair (a, b); at block n > T the depth is max(a, n - b)
-  ptail:      True (whole) or False (zero on every residual prime)
+Each block kind has one entry in KINDS, which says what its local subgroup
+coordinates are and holds every rule that depends on the kind.  None
+encodes the extreme value of a coordinate.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .core import (INFINITE, Index, Mult, PPFormula, SzmielewDescription,
-                   Div, Tor, _Infinite, is_omega, mult_add,
+                   Div, _Infinite, is_omega, mult_add,
                    p_adic_valuation, prime_factors)
 
 Block = Tuple[str, tuple, Mult]
@@ -95,11 +91,35 @@ def materialize(desc: SzmielewDescription, tail_bounds: Dict[int, int],
 
 
 # ---------------------------------------------------------------------------
-# Atom tables
+# Block kinds
+#
+# KINDS holds every rule that depends on a block's kind, keyed by the kind
+# string of the block.  An entry gives the local coordinate of the whole
+# block; atom(data, a), the local of the subgroup that atom a cuts out;
+# meet(x, y); index(data, mult, vh, vk), the exponent of the block's prime
+# in the index of vk inside vh (vk strictly inside vh), None if infinite;
+# stats(data, mult, v), the (cardinality, exponent) exponents of that prime
+# for the subgroup v, each None if infinite; the JSON field names of data
+# and json(v); and modes(mult), the oracle's slot modes at the block, empty
+# exactly when no index at the block can be infinite.  data[0] is the
+# block's prime for every kind that has one.
 
 
-def _atom_local(kind: str, data: tuple, atom):
-    if kind == "cyc":
+def _copies(e: int, mult: Mult) -> Optional[int]:
+    """Exponent of p over mult copies of a p^e step; None when infinite."""
+    if e == 0:
+        return 0
+    return None if is_omega(mult) else e * mult
+
+
+class _Cyc:
+    """cyc (p, n): depth d, the subgroup p^d Z(p^n)."""
+
+    fields = ("p", "n")
+    whole = 0
+    meet = staticmethod(max)
+
+    def atom(self, data, atom):
         p, n = data
         if isinstance(atom, Div):
             if atom.p != p:
@@ -110,57 +130,205 @@ def _atom_local(kind: str, data: tuple, atom):
                 return n - atom.s
             return atom.r - atom.s
         return max(n - p_adic_valuation(atom.m, p), 0)
-    if kind == "tf":
-        (p,) = data
+
+    def index(self, data, mult, vh, vk):
+        return _copies(vk - vh, mult)
+
+    def stats(self, data, mult, v):
+        size = data[1] - v
+        return _copies(size, mult), size
+
+    def json(self, v):
+        return {"depth": v}
+
+    def modes(self, mult):
+        # a finite-multiplicity chain only ever has finite indices
+        return ("max",) if is_omega(mult) else ()
+
+
+class _Tf:
+    """tf (p,): depth a for p^a Z_(p), or None for the zero subgroup."""
+
+    fields = ("p",)
+    whole = 0
+
+    def atom(self, data, atom):
         if isinstance(atom, Div):
-            return atom.r - atom.s if atom.p == p else 0
+            return atom.r - atom.s if atom.p == data[0] else 0
         return None  # torsion kills a torsion-free block
-    if kind == "div":
-        (p,) = data
-        if isinstance(atom, Div):
-            return None  # divisible: whole
-        return p_adic_valuation(atom.m, p)
-    if kind == "q":
-        return isinstance(atom, Div)
-    if kind == "tail":
-        p, _split = data
-        if isinstance(atom, Div):
-            return (atom.r - atom.s, None) if atom.p == p else (0, None)
-        return (0, p_adic_valuation(atom.m, p))
-    if kind == "ptail":
-        return isinstance(atom, Div)
-    raise AssertionError("unknown block kind %r" % kind)
 
-
-_WHOLE = {"cyc": 0, "tf": 0, "div": None, "q": True,
-          "tail": (0, None), "ptail": True}
-
-
-def _local_meet(kind: str, a, b):
-    if kind == "cyc":
-        return max(a, b)
-    if kind == "tf":
+    def meet(self, a, b):
         if a is None or b is None:
             return None
         return max(a, b)
-    if kind == "div":
+
+    def index(self, data, mult, vh, vk):
+        if vk is None:
+            return None
+        return _copies(vk - vh, mult)
+
+    def stats(self, data, mult, v):
+        return (0, 0) if v is None else (None, None)
+
+    def json(self, v):
+        return {"depth": "zero" if v is None else v}
+
+    def modes(self, mult):
+        return ("max",) if is_omega(mult) else ("tfzero",)
+
+
+class _Div:
+    """div (p,): torsion bound b (the p^b-torsion of Z(p^inf)), None for whole."""
+
+    fields = ("p",)
+    whole = None
+
+    def atom(self, data, atom):
+        if isinstance(atom, Div):
+            return None  # divisible: whole
+        return p_adic_valuation(atom.m, data[0])
+
+    def meet(self, a, b):
         if a is None:
             return b
         if b is None:
             return a
         return min(a, b)
-    if kind in ("q", "ptail"):
+
+    def index(self, data, mult, vh, vk):
+        if vh is None:
+            return None
+        return _copies(vh - vk, mult)
+
+    def stats(self, data, mult, v):
+        if v is None:
+            return None, None
+        return _copies(v, mult), v
+
+    def json(self, v):
+        return {"bound": "inf" if v is None else v}
+
+    def modes(self, mult):
+        return ("divmin",) if is_omega(mult) else ("divzero",)
+
+
+class _WholeOrZero:
+    """q and ptail (): True (whole) or False (zero; at every residual prime)."""
+
+    fields = ()
+    whole = True
+
+    def atom(self, data, atom):
+        return isinstance(atom, Div)
+
+    def meet(self, a, b):
         return a and b
-    # tail pairs
-    bb = (a[1] if b[1] is None else b[1] if a[1] is None else min(a[1], b[1]))
-    return (max(a[0], b[0]), bb)
+
+    def index(self, data, mult, vh, vk):
+        return None
+
+    def stats(self, data, mult, v):
+        return (None, None) if v else (0, 0)
+
+    def json(self, v):
+        return {"whole": v}
+
+    def modes(self, mult):
+        return ("bool",)
 
 
-def _eval_block(kind: str, data: tuple, formula: PPFormula):
-    v = _WHOLE[kind]
-    for atom in formula.atoms:
-        v = _local_meet(kind, v, _atom_local(kind, data, atom))
-    return v
+def _tail_depth(a: int, b: Optional[int], n: int) -> int:
+    return a if b is None else max(a, n - b)
+
+
+class _Tail:
+    """tail (p, T): pair (a, b); at block n > T the depth is max(a, n - b)."""
+
+    fields = ("p", "split")
+    whole = (0, None)
+
+    def atom(self, data, atom):
+        p, _split = data
+        if isinstance(atom, Div):
+            return (atom.r - atom.s, None) if atom.p == p else (0, None)
+        return (0, p_adic_valuation(atom.m, p))
+
+    def meet(self, a, b):
+        bb = (a[1] if b[1] is None else b[1] if a[1] is None else min(a[1], b[1]))
+        return (max(a[0], b[0]), bb)
+
+    def index(self, data, mult, vh, vk):
+        # compare asymptotics of the per-block exponent e(n)
+        _p, split = data
+        (ah, bh), (ak, bk) = vh, vk
+        if bh is None and bk is None:
+            limit = ak - ah
+        elif bh is not None and bk is not None:
+            limit = bh - bk
+        elif bk is not None:  # bh infinite, bk finite
+            return None
+        else:
+            raise AssertionError("tail index with non-nested pair")
+        if limit > 0:
+            return None
+        # limit 0: finitely many exceptional blocks
+        horizon = max(split,
+                      ah + (bh if bh is not None else 0),
+                      ak + (bk if bk is not None else 0))
+        total = 0
+        for n in range(split + 1, horizon + 1):
+            e = _tail_depth(ak, bk, n) - _tail_depth(ah, bh, n)
+            if e > 0:
+                if is_omega(mult):
+                    return None
+                total += e * mult
+        return total
+
+    def stats(self, data, mult, v):
+        b = v[1]
+        if b is None:
+            return None, None
+        # infinitely many blocks, each eventually of size p^b
+        return (None, b) if b > 0 else (0, 0)
+
+    def json(self, v):
+        return {"a": v[0], "b": "inf" if v[1] is None else v[1]}
+
+    def modes(self, mult):
+        return ("tailb", "taila")
+
+
+KINDS = {"cyc": _Cyc(), "tf": _Tf(), "div": _Div(), "q": _WholeOrZero(),
+         "tail": _Tail(), "ptail": _WholeOrZero()}
+
+
+def _locals(blocks: Tuple[Block, ...], formula: PPFormula) -> tuple:
+    out = []
+    for kind, data, _m in blocks:
+        entry = KINDS[kind]
+        v = entry.whole
+        for atom in formula.atoms:
+            v = entry.meet(v, entry.atom(data, atom))
+        out.append(v)
+    return tuple(out)
+
+
+def _meet_locals(blocks: Tuple[Block, ...], a: tuple, b: tuple) -> tuple:
+    return tuple(KINDS[kind].meet(x, y)
+                 for (kind, _d, _m), x, y in zip(blocks, a, b))
+
+
+def _index(blocks: Tuple[Block, ...], big: tuple, small: tuple) -> Index:
+    """The exact index of the local subgroups small inside big."""
+    exps: Dict[int, int] = {}
+    for (kind, data, mult), vh, vk in zip(blocks, big, small):
+        if vh != vk:
+            e = KINDS[kind].index(data, mult, vh, vk)
+            if e is None:
+                return Index.infinite()
+            if e:
+                exps[data[0]] = exps.get(data[0], 0) + e
+    return Index.from_factors(exps)
 
 
 @dataclass(frozen=True)
@@ -181,8 +349,7 @@ def eval_formula(desc: SzmielewDescription, formula: PPFormula,
         req_bounds[p] = max(req_bounds.get(p, 0), t)
     extras = tuple(sorted(set(req_extra) | set(extra_primes)))
     blocks = materialize(desc, req_bounds, extras)
-    locs = tuple(_eval_block(kind, data, formula) for kind, data, _m in blocks)
-    return SubgroupProfile(desc, formula, blocks, locs)
+    return SubgroupProfile(desc, formula, blocks, _locals(blocks, formula))
 
 
 def _common(h: SubgroupProfile, k: SubgroupProfile
@@ -192,95 +359,19 @@ def _common(h: SubgroupProfile, k: SubgroupProfile
         raise ValueError("profiles over different descriptions")
     bounds, extra = _formula_requirements(h.desc, [h.formula, k.formula])
     blocks = materialize(h.desc, bounds, extra)
-    lh = tuple(_eval_block(kind, data, h.formula) for kind, data, _m in blocks)
-    lk = tuple(_eval_block(kind, data, k.formula) for kind, data, _m in blocks)
-    return blocks, lh, lk
+    return blocks, _locals(blocks, h.formula), _locals(blocks, k.formula)
 
 
 def meet(h: SubgroupProfile, k: SubgroupProfile) -> SubgroupProfile:
     blocks, lh, lk = _common(h, k)
-    lm = tuple(_local_meet(kind, a, b)
-               for (kind, _d, _m), a, b in zip(blocks, lh, lk))
-    return SubgroupProfile(h.desc, h.formula.conjoin(k.formula), blocks, lm)
-
-
-# ---------------------------------------------------------------------------
-# Index classes
-
-
-def _tail_depth(a: int, b: Optional[int], n: int) -> int:
-    return a if b is None else max(a, n - b)
-
-
-def _block_index(kind: str, data: tuple, mult: Mult, vh, vk) -> Index:
-    """Exact index of the smaller local subgroup vk inside vh, with mult copies."""
-    if kind == "cyc":
-        p, _n = data
-        e = vk - vh
-        if e == 0:
-            return Index.one()
-        return Index.infinite() if is_omega(mult) else Index.prime_power(p, e * mult)
-    if kind == "tf":
-        (p,) = data
-        if vh == vk:
-            return Index.one()
-        if vk is None:
-            return Index.infinite()
-        e = vk - vh
-        return Index.infinite() if is_omega(mult) else Index.prime_power(p, e * mult)
-    if kind == "div":
-        (p,) = data
-        if vh == vk:
-            return Index.one()
-        if vh is None:
-            return Index.infinite()
-        e = vh - vk
-        return Index.infinite() if is_omega(mult) else Index.prime_power(p, e * mult)
-    if kind == "q":
-        if vh == vk:
-            return Index.one()
-        return Index.infinite()
-    if kind == "ptail":
-        if vh == vk:
-            return Index.one()
-        return Index.infinite()
-    # tail: compare asymptotics of the per-block exponent e(n)
-    p, split = data
-    (ah, bh), (ak, bk) = vh, vk
-    if bh is None and bk is None:
-        limit = ak - ah
-    elif bh is not None and bk is not None:
-        limit = bh - bk
-    elif bk is not None:  # bh infinite, bk finite
-        return Index.infinite()
-    else:
-        raise AssertionError("tail index with non-nested pair")
-    if limit > 0:
-        return Index.infinite()
-    # limit 0: finitely many exceptional blocks
-    horizon = max(split,
-                  ah + (bh if bh is not None else 0),
-                  ak + (bk if bk is not None else 0))
-    total = 0
-    for n in range(split + 1, horizon + 1):
-        e = _tail_depth(ak, bk, n) - _tail_depth(ah, bh, n)
-        if e > 0:
-            if is_omega(mult):
-                return Index.infinite()
-            total += e * mult
-    return Index.prime_power(p, total) if total else Index.one()
+    return SubgroupProfile(h.desc, h.formula.conjoin(k.formula), blocks,
+                           _meet_locals(blocks, lh, lk))
 
 
 def index_class(h: SubgroupProfile, k: SubgroupProfile) -> Index:
     """The exact index [h : h meet k]."""
     blocks, lh, lk = _common(h, k)
-    out = Index.one()
-    for (kind, data, mult), a, b in zip(blocks, lh, lk):
-        m = _local_meet(kind, a, b)
-        out = out * _block_index(kind, data, mult, a, m)
-        if out.is_infinite:
-            return out
-    return out
+    return _index(blocks, lh, _meet_locals(blocks, lh, lk))
 
 
 # ---------------------------------------------------------------------------
@@ -294,85 +385,39 @@ class ProfileStats:
 
 
 def profile_stats(h: SubgroupProfile) -> ProfileStats:
-    card = Index.one()
+    card: Dict[int, int] = {}
     exps: Dict[int, int] = {}
-    unbounded = False
+    finite = bounded = True
     for (kind, data, mult), v in zip(h.blocks, h.locals):
-        if kind == "cyc":
-            p, n = data
-            size = n - v
-            if size > 0:
-                card = card * (Index.infinite() if is_omega(mult)
-                               else Index.prime_power(p, size * mult))
-                exps[p] = max(exps.get(p, 0), size)
-        elif kind == "tf":
-            if v is not None:
-                card = Index.infinite()
-                unbounded = True
-        elif kind == "div":
-            (p,) = data
-            if v is None:
-                card = Index.infinite()
-                unbounded = True
-            elif v > 0:
-                card = card * (Index.infinite() if is_omega(mult)
-                               else Index.prime_power(p, v * mult))
-                exps[p] = max(exps.get(p, 0), v)
-        elif kind == "q":
-            if v:
-                card = Index.infinite()
-                unbounded = True
-        elif kind == "tail":
-            p, _split = data
-            a, b = v
-            if b is None:
-                card = Index.infinite()
-                unbounded = True
-            elif b > 0:
-                # infinitely many blocks, each eventually of size p^b
-                card = Index.infinite()
-                exps[p] = max(exps.get(p, 0), b)
-        else:  # ptail
-            if v:
-                card = Index.infinite()
-                unbounded = True
-    if unbounded:
-        return ProfileStats(card, INFINITE)
+        c, e = KINDS[kind].stats(data, mult, v)
+        if c is None:
+            finite = False
+        elif c:
+            card[data[0]] = card.get(data[0], 0) + c
+        if e is None:
+            bounded = False
+        elif e:
+            exps[data[0]] = max(exps.get(data[0], 0), e)
+    cardinality = Index.from_factors(card) if finite else Index.infinite()
+    if not bounded:
+        return ProfileStats(cardinality, INFINITE)
     exponent = 1
     for p, e in sorted(exps.items()):
         exponent *= p ** e
-    return ProfileStats(card, exponent)
+    return ProfileStats(cardinality, exponent)
 
 
 # ---------------------------------------------------------------------------
 # JSON dump
 
 
-def _local_json(kind: str, v):
-    if kind == "cyc":
-        return {"depth": v}
-    if kind == "tf":
-        return {"depth": "zero" if v is None else v}
-    if kind == "div":
-        return {"bound": "inf" if v is None else v}
-    if kind in ("q", "ptail"):
-        return {"whole": v}
-    return {"a": v[0], "b": "inf" if v[1] is None else v[1]}
-
-
 def profile_json(h: SubgroupProfile) -> dict:
-    from .core import is_omega as _isw
     from .dsl import render_formula, render_group
     blocks = []
     for (kind, data, mult), v in zip(h.blocks, h.locals):
-        entry = {"kind": kind, "mult": "w" if _isw(mult) else mult}
-        if kind == "cyc":
-            entry["p"], entry["n"] = data
-        elif kind in ("tf", "div"):
-            entry["p"] = data[0]
-        elif kind == "tail":
-            entry["p"], entry["split"] = data
-        entry["local"] = _local_json(kind, v)
+        entry = {"kind": kind, "mult": "w" if is_omega(mult) else mult}
+        entry.update(zip(KINDS[kind].fields, data))
+        entry["local"] = KINDS[kind].json(v)
         blocks.append(entry)
     stats = profile_stats(h)
     return {

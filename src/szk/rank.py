@@ -64,7 +64,7 @@ def _has_bounded_exponent(strict: SzmielewDescription) -> bool:
             and not strict.cyclic_tail and strict.prime_tail is None)
 
 
-def _finite_dp(strict: SzmielewDescription, ds: DerivedSets) -> bool:
+def _finite_dp(ds: DerivedSets) -> bool:
     return not (ds.tf_inf_infinite or ds.d_inf_infinite or ds.u_pairs_infinite
                 or ds.u_inf_at_infinite)
 
@@ -177,7 +177,7 @@ def dp_rank(desc: SzmielewDescription) -> RankReport:
                     and all(not is_omega(m) for _pn, m in strict.cyclic))
     if finite_group:
         return RankReport(0, strong, "finite-group", ds, eps, partition, witnesses)
-    if not _finite_dp(strict, ds):
+    if not _finite_dp(ds):
         return RankReport(None, strong, "infinite", ds, eps, partition, witnesses)
 
     case, value = _case_value(strict, ds)
@@ -190,11 +190,9 @@ def dp_rank(desc: SzmielewDescription) -> RankReport:
 
 
 def classify(desc: SzmielewDescription) -> Classification:
-    strict = normalize(desc)
-    ds = derived_sets(strict)
-    strong = _strong(ds)
-    finite_dp = _finite_dp(strict, ds)
-    report = dp_rank(strict)
+    report = dp_rank(desc)
+    ds, strong = report.derived, report.strong
+    finite_dp = _finite_dp(ds)
     if finite_dp and not strong:
         raise AssertionError("finite dp-rank must imply strong")
     finitely_many_torsion = not (ds.d_inf_infinite or ds.u_pairs_infinite)

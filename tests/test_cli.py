@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -119,6 +120,14 @@ class TestExitCodes:
     def test_oracle_bound_error(self, capsys):
         code, _, err = run(capsys, "breadth", "Q", "--pool-bound", "0")
         assert code == 1
+
+    def test_closed_stdout(self, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["fuzz", "--count", "2"]) == 1
 
 
 class TestJsonPayloads:

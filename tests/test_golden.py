@@ -1,0 +1,119 @@
+"""Golden transcripts: `--json` CLI output and candidate pools, byte for byte.
+
+The inputs cover every materialized block kind (cyc, tf, div, q, tail,
+ptail) with finite and omega multiplicities, finite and omega tails, and a
+pool-cap overflow.  A refactor of the evaluator or the oracle must leave
+both transcripts unchanged.  After an intended change of output, rewrite
+the files with
+
+    PYTHONPATH=src python -c "import tests.test_golden as g; g.write_golden()"
+"""
+
+import contextlib
+import io
+import shlex
+from pathlib import Path
+
+from szk.cli import main
+from szk.dsl import parse_group, render_formula
+from szk.oracle import candidate_pool
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+# groups with finite and omega multiplicities of every block kind
+GROUPS = [
+    "0",
+    "Z(2^3)^2 + Z(3^1)^w",
+    "Z_(3) + Z_(5)^w",
+    "Z(5^inf) + Z(7^inf)^w",
+    "Q^2",
+    "Q^w + Z(2^2)",
+    "tail(2) + tail(3,w,cutoff=2)",
+    "tail(2,w)",
+    "forall_p{Z_(P)^2} + Z(2^1)",
+    "forall_p{Z(P^1)^w + Z(P^inf)} + Q",
+    "Z(2^1)^w + Z(8)^w + tail(3)",
+    "Z(2^2)^w + Z(2^5)^w + Z(2^9)^w + Z_(3)^w + Z(5^inf)^w",
+]
+
+FINITE_ALL = ("Z(2^3)^2 + Z_(3) + Z(5^inf) + Q + tail(2,cutoff=1)"
+              " + forall_p{Z_(P)^2}")
+OMEGA_ALL = ("Z(2^3)^w + Z_(3)^w + Z(5^inf)^w + Q^w + tail(2,w,cutoff=1)"
+             " + forall_p{Z(P^1)^w}")
+
+FORMULAS = ["top", "tor(2)", "tor(12)", "tor(50)", "div(2,3,1)",
+            "div(3,1,0)", "div(5,2,0)", "tor(7)", "div(7,1,0)",
+            "tor(4) & div(2,3,1)"]
+
+INDEX_PAIRS = [("top", "tor(2)"), ("tor(4)", "tor(2)"),
+               ("tor(4)", "div(2,3,1)"), ("div(3,1,0)", "tor(3)"),
+               ("top", "div(3,2,0)"), ("top", "div(5,1,0)"),
+               ("tor(25)", "tor(5)"), ("top", "tor(7)"),
+               ("div(7,1,0)", "tor(7)"), ("div(2,2,1)", "div(2,1,0)")]
+
+BREADTH = [
+    ("Z(2^1)^w + Z(8)^w", 2, 4),
+    ("Z_(2)^w + Z(3^inf)^w + Q", 2, 4),
+    ("Z(2^1)^w + Z(2^4)^3 + Z_(3)^2 + Z(5^inf)^2", 2, 4),
+    ("tail(2) + Z(3^inf)^w", 3, 4),
+    ("tail(2,w)", 6, 3),
+    ("forall_p{Z_(P)}", 1, 3),
+    ("forall_p{Z(P^1)^w} + Z(3^2)^w", 2, 4),
+    ("Z(2^1)^w + Z(3^1)^w + Z(5^1)^w", 36, 4),   # pool over the cap
+]
+
+POOLS = [
+    ("Z(2^1)^w + Z(8)^w", 4),
+    ("Z_(2)^w + Z(3^inf)^w + Q", 2),
+    ("tail(2,w) + Z(3^2)", 3),
+    ("forall_p{Z(P^1)^w + Z_(P)} + Z(2^2)^3", 2),
+]
+
+
+def argvs():
+    for g in GROUPS:
+        for cmd in ("normalize", "invariants", "rank", "classify", "witness"):
+            yield [cmd, g]
+    for g in (FINITE_ALL, OMEGA_ALL):
+        for f in FORMULAS:
+            yield ["eval", g, f]
+        for f1, f2 in INDEX_PAIRS:
+            yield ["index", g, f1, f2]
+    for g, b, k in BREADTH:
+        yield ["breadth", g, "--pool-bound", str(b), "--max-depth", str(k)]
+
+
+def cli_transcript() -> str:
+    parts = []
+    for argv in argvs():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--json"] + argv)
+        parts.append("$ szk --json %s\nexit %d\n%s" % (shlex.join(argv), code,
+                                                       out.getvalue()))
+        if err.getvalue():
+            parts.append("stderr: " + err.getvalue())
+    return "".join(parts)
+
+
+def pool_transcript() -> str:
+    parts = []
+    for g, b in POOLS:
+        pool = candidate_pool(parse_group(g), b)
+        parts.append("%s @ B=%d\n%s\n" % (g, b, "\n".join(render_formula(f)
+                                                          for f in pool)))
+    return "".join(parts)
+
+
+def write_golden() -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    (GOLDEN_DIR / "cli_json.txt").write_text(cli_transcript())
+    (GOLDEN_DIR / "candidate_pool.txt").write_text(pool_transcript())
+
+
+def test_cli_json_transcript():
+    assert cli_transcript() == (GOLDEN_DIR / "cli_json.txt").read_text()
+
+
+def test_candidate_pool_transcript():
+    assert pool_transcript() == (GOLDEN_DIR / "candidate_pool.txt").read_text()

@@ -1,6 +1,7 @@
 """Brute-force oracle: pool, family verification, breadth search."""
 
 import random
+import time
 
 import pytest
 
@@ -38,6 +39,13 @@ class TestCandidatePool:
         monkeypatch.setenv("SZK_MAX_POOL", "10")
         with pytest.raises(PoolOverflowError):
             candidate_pool(parse_group("Z(2^inf)^w + Z(3^inf)^w"), 4)
+
+    def test_overflow_checked_before_enumeration(self):
+        # about 5e9 div atoms: only an arithmetic count can refuse it in time
+        start = time.perf_counter()
+        with pytest.raises(PoolOverflowError, match="5000150000 formulas"):
+            breadth_search(parse_group("Z(2^1)^w"), 100000, 6)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestVerifyInp:

@@ -154,6 +154,38 @@ class TestIndexClass:
         k = eval_formula(g, parse_formula("div(2,3,1)"))
         assert index_class(h, meet(h, k)).is_infinite
 
+    # expected index, None for infinite; the one-prime groups keep the
+    # comparison on a single block of the named kind (the prime-tail
+    # groups also instantiate the mentioned prime)
+    @pytest.mark.parametrize("group,f1,f2,expected", [
+        ("Z_(3)^2", "top", "div(3,1,0)", 9),
+        ("Z_(3)^2", "div(3,1,0)", "div(3,3,0)", 81),
+        ("Z_(3)^2", "top", "tor(5)", None),
+        ("Z_(3)^w", "top", "div(3,1,0)", None),
+        ("Z(5^inf)^2", "tor(25)", "tor(5)", 25),
+        ("Z(5^inf)^2", "top", "tor(5)", None),
+        ("Z(5^inf)^w", "tor(25)", "tor(5)", None),
+        ("Z(5^inf)^w", "div(5,1,0)", "top", 1),
+        ("Q^2", "top", "div(2,1,0)", 1),
+        ("Q^2", "top", "tor(2)", None),
+        ("Q^w", "top", "tor(2)", None),
+        ("Q^w", "div(3,2,1)", "top", 1),
+        ("forall_p{Z(P^inf)^2}", "top", "div(2,1,0)", 1),
+        ("forall_p{Z(P^inf)^2}", "top", "tor(2)", None),
+        ("forall_p{Z_(P)^2}", "top", "tor(3)", None),
+        ("forall_p{Z(P^inf)^w}", "top", "div(2,1,0)", 1),
+        ("forall_p{Z_(P)^w}", "top", "tor(3)", None),
+    ])
+    def test_block_kind_index(self, group, f1, f2, expected):
+        g = parse_group(group)
+        h = eval_formula(g, parse_formula(f1))
+        k = eval_formula(g, parse_formula(f2))
+        got = index_class(h, k)
+        if expected is None:
+            assert got.is_infinite
+        else:
+            assert got == Index.of(expected)
+
 
 def concrete_index(g, members_h, members_k) -> int:
     inter = set(members_h) & set(members_k)
