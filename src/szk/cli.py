@@ -294,6 +294,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParseError, ValueError, oracle.PoolOverflowError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory; the input is too large", file=sys.stderr)
+        return 1
     except AssertionError as e:
         print("internal error: %s" % e, file=sys.stderr)
         return 2

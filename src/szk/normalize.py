@@ -156,7 +156,11 @@ class DerivedSets:
 
 
 def derived_sets(desc: SzmielewDescription) -> DerivedSets:
-    strict = normalize(desc)
+    return _derived_sets(normalize(desc))
+
+
+def _derived_sets(strict: SzmielewDescription) -> DerivedSets:
+    """The derived sets of a description already in strict form."""
     tf_inf = frozenset(p for p, m in strict.tf if is_omega(m))
     d_inf = frozenset(p for p, m in strict.div if is_omega(m))
     u_inf_at: Dict[int, FrozenSet[int]] = {}

@@ -3,10 +3,13 @@
 A family of p.p. subgroups witnesses depth k exactly when every
 leave-one-out intersection has infinite index over the full intersection.
 The search counts the canonical candidate pool and refuses it when it
-exceeds the cap, before any formula is enumerated.  It then enumerates the
-pool, deduplicates formulas by their evaluated profile, and explores
-families depth-first with three prunings, all of which preserve
-exhaustiveness:
+exceeds the cap, before anything is built.  It then builds only the pool's
+distinct profiles: tor(m) acts on each prime's blocks through the exponent
+of that prime in m alone, so the torsion profiles are the products of one
+class of exponents per prime, each represented by its least m, and the
+single div atoms follow, kept where their profile is new.  It explores
+families of those profiles depth-first with three prunings, all of which
+preserve exhaustiveness:
 
   - a formula of finite index can never appear in a valid family;
   - validity is closed downward, so supersets of invalid families die;
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (Div, Index, PPFormula, SzmielewDescription, div, is_omega,
                    is_prime, tor)
@@ -54,36 +57,14 @@ def _pool_primes(strict: SzmielewDescription) -> List[int]:
     return primes
 
 
-def _enumerate_formulas(primes: Sequence[int], B: int) -> List[PPFormula]:
-    """tor of prime-power products over distinct primes, then single div atoms.
-
-    This order decides which formula represents a profile class after
-    deduplication: torsion atoms win ties against divisibility atoms.
-    """
-    tors: List[int] = []
-    for k in range(1, len(primes) + 1):
-        for subset in itertools.combinations(primes, k):
-            for exps in itertools.product(range(1, B + 1), repeat=k):
-                m = 1
-                for p, e in zip(subset, exps):
-                    m *= p ** e
-                tors.append(m)
-    out = [tor(m) for m in sorted(tors)]
-    for p in primes:
-        for r in range(1, B + 1):
-            for s in range(r):
-                out.append(div(p, r, s))
-    return out
-
-
 def _search_key(f: PPFormula) -> int:
     # divisibility candidates are tried first during the family search
     return 0 if len(f.atoms) == 1 and isinstance(f.atoms[0], Div) else 1
 
 
 def _pool(desc: SzmielewDescription, B: int
-          ) -> Tuple[List[PPFormula], Tuple[Block, ...]]:
-    """Pool formulas and blocks; an over-cap pool is refused unbuilt."""
+          ) -> Tuple[List[int], Tuple[Block, ...]]:
+    """Pool primes and blocks; an over-cap pool is refused unbuilt."""
     strict = normalize(desc)
     primes = _pool_primes(strict)
     n = len(primes)
@@ -95,26 +76,68 @@ def _pool(desc: SzmielewDescription, B: int
             % (size, _max_pool()))
     bounds = {p: B for p in primes}
     extra = tuple(sorted(set(primes) - set(strict.primes())))
-    return _enumerate_formulas(primes, B), materialize(strict, bounds, extra)
+    return primes, materialize(strict, bounds, extra)
 
 
-def _distinct(formulas: Sequence[PPFormula], blocks: Tuple[Block, ...]
+def _profiles(primes: Sequence[int], B: int, blocks: Tuple[Block, ...]
               ) -> Iterator[Tuple[PPFormula, tuple]]:
-    """The first formula of each profile on blocks, with that profile."""
+    """Each distinct profile of the pool on blocks, with its representative.
+
+    The pool is tor(m) for every m > 1 whose exponents over primes are at
+    most B, by ascending m, then div(p, r, s) for 0 <= s < r <= B; the first
+    formula of a profile represents it.  A torsion profile is one class of
+    exponents per prime, grouped by the column of locals they give on that
+    prime's blocks.  Its least m takes each class's least exponent, or, when
+    that gives m = 1 (not in the pool), the second least at the one prime
+    where that is cheapest; with no second exponent anywhere it has no tor.
+    """
+    key = list(_locals(blocks, tor(1)))     # prime-less blocks stay as is
+    at: Dict[int, List[int]] = {p: [] for p in primes}
+    for bi, (kind, data, _m) in enumerate(blocks):
+        if KINDS[kind].has_prime:
+            at[data[0]].append(bi)
+    classes = []
+    for p in primes:
+        sub = tuple(blocks[bi] for bi in at[p])
+        by_column: Dict[tuple, List[int]] = {}
+        for e in range(B + 1):
+            by_column.setdefault(_locals(sub, tor(p ** e)), []).append(e)
+        classes.append([(p, column, es) for column, es in by_column.items()])
+    tors = []
+    for choice in itertools.product(*classes):
+        m = 1
+        for p, _column, es in choice:
+            m *= p ** es[0]
+        if m == 1:      # tor(1) is not in the pool
+            nexts = [p ** es[1] for p, _column, es in choice if len(es) > 1]
+            if not nexts:
+                continue
+            m = min(nexts)
+        for p, column, _es in choice:
+            for bi, v in zip(at[p], column):
+                key[bi] = v
+        tors.append((m, tuple(key)))
+    tors.sort(key=lambda mk: mk[0])
     seen = set()
-    for f in formulas:
-        key = _locals(blocks, f)
-        if key not in seen:
-            seen.add(key)
-            yield f, key
+    for m, k in tors:
+        seen.add(k)
+        yield tor(m), k
+    for p in primes:
+        for r in range(1, B + 1):
+            for s in range(r):
+                f = div(p, r, s)
+                k = _locals(blocks, f)
+                if k not in seen:
+                    seen.add(k)
+                    yield f, k
 
 
 def candidate_pool(desc: SzmielewDescription, B: int) -> List[PPFormula]:
     """Canonical single-atom pool plus coprime tor-products, profile-deduped."""
     if B < 1:
         raise ValueError("pool bound must be >= 1")
-    formulas, blocks = _pool(desc, B)
-    return [f for f, _key in _distinct(formulas, blocks)]
+    primes, blocks = _pool(desc, B)
+    return [f for f, _key in _profiles(primes, B, blocks)]
 
 
 def _leave_one_out(blocks: Tuple[Block, ...], locs: Sequence[tuple]
@@ -284,7 +307,7 @@ def _slots_of(blocks: Tuple[Block, ...]) -> List[tuple]:
 def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResult:
     if B < 1 or maxK < 1:
         raise ValueError("pool bound and depth cap must be >= 1")
-    formulas, blocks = _pool(desc, B)
+    primes, blocks = _pool(desc, B)
     # a block without slots (a finite-multiplicity cyclic block) can never
     # contribute an infinite index, so validity only depends on the locals
     # of the other blocks
@@ -292,7 +315,7 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
     whole = _locals(blocks, PPFormula.top())
 
     # dedup by relevant profile, drop finite-index subgroups
-    cands = [(f, key) for f, key in _distinct(formulas, blocks)
+    cands = [(f, key) for f, key in _profiles(primes, B, blocks)
              if _index(blocks, whole, key).is_infinite]
     cands.sort(key=lambda fk: _search_key(fk[0]))
 

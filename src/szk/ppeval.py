@@ -101,8 +101,9 @@ def materialize(desc: SzmielewDescription, tail_bounds: Dict[int, int],
 # stats(data, mult, v), the (cardinality, exponent) exponents of that prime
 # for the subgroup v, each None if infinite; the JSON field names of data
 # and json(v); and modes(mult), the oracle's slot modes at the block, empty
-# exactly when no index at the block can be infinite.  data[0] is the
-# block's prime for every kind that has one.
+# exactly when no index at the block can be infinite.  has_prime says whether
+# the block belongs to one prime p; data[0] is then p, and the local that
+# tor(m) cuts out at the block depends on m only through the exponent of p.
 
 
 def _copies(e: int, mult: Mult) -> Optional[int]:
@@ -115,6 +116,7 @@ def _copies(e: int, mult: Mult) -> Optional[int]:
 class _Cyc:
     """cyc (p, n): depth d, the subgroup p^d Z(p^n)."""
 
+    has_prime = True
     fields = ("p", "n")
     whole = 0
     meet = staticmethod(max)
@@ -149,6 +151,7 @@ class _Cyc:
 class _Tf:
     """tf (p,): depth a for p^a Z_(p), or None for the zero subgroup."""
 
+    has_prime = True
     fields = ("p",)
     whole = 0
 
@@ -180,6 +183,7 @@ class _Tf:
 class _Div:
     """div (p,): torsion bound b (the p^b-torsion of Z(p^inf)), None for whole."""
 
+    has_prime = True
     fields = ("p",)
     whole = None
 
@@ -215,6 +219,7 @@ class _Div:
 class _WholeOrZero:
     """q and ptail (): True (whole) or False (zero; at every residual prime)."""
 
+    has_prime = False
     fields = ()
     whole = True
 
@@ -244,6 +249,7 @@ def _tail_depth(a: int, b: Optional[int], n: int) -> int:
 class _Tail:
     """tail (p, T): pair (a, b); at block n > T the depth is max(a, n - b)."""
 
+    has_prime = True
     fields = ("p", "split")
     whole = (0, None)
 
@@ -370,6 +376,10 @@ def meet(h: SubgroupProfile, k: SubgroupProfile) -> SubgroupProfile:
 
 def index_class(h: SubgroupProfile, k: SubgroupProfile) -> Index:
     """The exact index [h : h meet k]."""
+    if h.desc == k.desc and h.blocks == k.blocks:
+        # one materialization already serves both formulas
+        return _index(h.blocks, h.locals,
+                      _meet_locals(h.blocks, h.locals, k.locals))
     blocks, lh, lk = _common(h, k)
     return _index(blocks, lh, _meet_locals(blocks, lh, lk))
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from .core import PPFormula, SzmielewDescription, div, is_omega, tor
-from .normalize import DerivedSets, derived_sets, derived_sets_json, normalize
+from .normalize import (DerivedSets, _derived_sets, derived_sets_json,
+                        normalize)
 
 
 def gap_count(ns: Iterable[int]) -> int:
@@ -128,8 +129,10 @@ def seed_witnesses(desc: SzmielewDescription) -> Tuple[WitnessFamily, ...]:
     Each family is valid on its own (checked downstream by the oracle); the
     tag names what the family certifies, and its size equals that term.
     """
-    strict = normalize(desc)
-    ds = derived_sets(strict)
+    return _seed_witnesses(_derived_sets(normalize(desc)))
+
+
+def _seed_witnesses(ds: DerivedSets) -> Tuple[WitnessFamily, ...]:
     out: List[WitnessFamily] = []
     if ds.tf_inf:
         fams = tuple(div(p, 1, 0) for p in sorted(ds.tf_inf))
@@ -167,10 +170,10 @@ def seed_witnesses(desc: SzmielewDescription) -> Tuple[WitnessFamily, ...]:
 
 def dp_rank(desc: SzmielewDescription) -> RankReport:
     strict = normalize(desc)
-    ds = derived_sets(strict)
+    ds = _derived_sets(strict)
     eps = _epsilons(strict, ds)
     partition = _partition(strict, ds)
-    witnesses = seed_witnesses(strict)
+    witnesses = _seed_witnesses(ds)
     strong = _strong(ds)
 
     finite_group = (_has_bounded_exponent(strict)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from szk import shatter
 from szk.cli import main
 from tests.conftest import validate_payload
 
@@ -128,6 +129,19 @@ class TestExitCodes:
 
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
         assert main(["fuzz", "--count", "2"]) == 1
+
+    def test_out_of_memory(self, capsys, monkeypatch):
+        # a real shatter on Z(1000)+Z(1000) needs O(|G|^2) bits; the compute
+        # step is stubbed to fail the way that allocation does
+        def exhausted(*_args):
+            raise MemoryError
+
+        monkeypatch.setattr(shatter, "coset_family", exhausted)
+        code, out, err = run(capsys, "shatter", "--orders", "1000", "1000",
+                             "--formulas", "tor(2)")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestJsonPayloads:

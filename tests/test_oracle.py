@@ -1,20 +1,67 @@
 """Brute-force oracle: pool, family verification, breadth search."""
 
+import itertools
 import random
 import time
 
 import pytest
 
-from szk import corpus
-from szk.core import tor
+from szk import corpus, oracle
+from szk.core import div, tor
 from szk.dsl import parse_formula, parse_group, render_formula
 from szk.oracle import (PoolOverflowError, breadth_search, candidate_pool,
                         verify_inp)
+from szk.ppeval import KINDS, _locals
 from szk.rank import dp_rank
+
+G10 = ("Z(2^1)^w + Z(2^3)^w + Z(2^5)^w + Z(2^7)^w + Z(3^1)^w + Z(3^3)^w"
+       " + Z_(5)^w + Z_(7)^w + Z(11^inf)^w + tail(13)")
 
 
 def witness_set(result):
     return {render_formula(f) for f in result.witness}
+
+
+def brute_force_profiles(primes, B, blocks):
+    """Every pool formula in pool order, keeping the first of each profile.
+
+    Torsion products of prime powers over distinct primes by ascending
+    modulus, then single div atoms: the order that decides which formula
+    represents a profile.
+    """
+    tors = []
+    for k in range(1, len(primes) + 1):
+        for subset in itertools.combinations(primes, k):
+            for exps in itertools.product(range(1, B + 1), repeat=k):
+                m = 1
+                for p, e in zip(subset, exps):
+                    m *= p ** e
+                tors.append(m)
+    formulas = [tor(m) for m in sorted(tors)]
+    formulas += [div(p, r, s) for p in primes
+                 for r in range(1, B + 1) for s in range(r)]
+    seen = set()
+    out = []
+    for f in formulas:
+        key = _locals(blocks, f)
+        if key not in seen:
+            seen.add(key)
+            out.append((f, key))
+    return out
+
+
+# every block kind, omega multiplicities and prime tails
+HAND_PICKED = [
+    "forall_p{Z_(P)}",
+    "forall_p{Z(P^1)^w} + Z(3^2)^w",
+    "tail(2,w)",
+    "Z_(2)^w + Z_(3)^w",
+    "Q",
+    "Z(2^3)^2 + Z_(3) + Z(5^inf) + Q + tail(2,cutoff=1) + forall_p{Z_(P)^2}",
+    "Z(2^3)^w + Z_(3)^w + Z(5^inf)^w + Q^w + tail(2,w,cutoff=1)"
+    " + forall_p{Z(P^1)^w}",
+    "Z(2^1)^w + Z(8)^w + tail(3)",
+]
 
 
 class TestCandidatePool:
@@ -46,6 +93,57 @@ class TestCandidatePool:
         with pytest.raises(PoolOverflowError, match="5000150000 formulas"):
             breadth_search(parse_group("Z(2^1)^w"), 100000, 6)
         assert time.perf_counter() - start < 1.0
+
+
+class TestProfileSpacePool:
+    """The pool built per prime equals the enumerated and deduplicated one."""
+
+    def groups(self):
+        rng = random.Random(2024)
+        descs = [corpus.random_description(rng) for _ in range(60)]
+        return descs + [parse_group(t) for t in HAND_PICKED]
+
+    def test_matches_brute_force(self):
+        checked = 0
+        for desc in self.groups():
+            for B in range(1, desc.max_exponent() + 3):
+                primes, blocks = oracle._pool(desc, B)
+                # candidate_pool's blocks, and breadth_search's slotted ones
+                slotted = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
+                for bl in (blocks, slotted):
+                    got = list(oracle._profiles(primes, B, bl))
+                    assert got == brute_force_profiles(primes, B, bl), (
+                        desc, B)
+                    checked += 1
+        assert checked > 500
+
+    def test_zero_exponent_classes(self):
+        # tor(m) cuts out zero on torsion-free blocks for every m: the one
+        # torsion profile holds the exponent vector 0 (m = 1, not in the
+        # pool), so the next exponent at the cheapest prime represents it
+        for B in (1, 3):
+            pool = candidate_pool(parse_group("Z_(2)^w + Z_(3)^w"), B)
+            assert pool[0] == tor(2)
+            assert tor(3) not in pool and tor(4) not in pool
+        # on Z(2) only m = 1 cuts out zero among the tors, so that profile
+        # has no tor and div(2,1,0) represents it
+        pool = candidate_pool(parse_group("Z(2^1)"), 2)
+        assert [render_formula(f) for f in pool] == ["tor(2)", "div(2,1,0)"]
+
+
+class TestPoolTimeBudget:
+    def test_g10_at_five(self):
+        start = time.perf_counter()
+        candidate_pool(parse_group(G10), 5)
+        assert time.perf_counter() - start < 1.0
+
+    def test_g10_at_b0(self, monkeypatch):
+        # 1,000,269 formulas, over the default cap; built in profile space
+        monkeypatch.setenv("SZK_MAX_POOL", "2000000")
+        start = time.perf_counter()
+        pool = candidate_pool(parse_group(G10), 9)
+        assert time.perf_counter() - start < 2.0
+        assert len(pool) == 3294
 
 
 class TestVerifyInp:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from szk import corpus
+from szk import corpus, ppeval
 from szk.core import INFINITE, OMEGA, Index
 from szk.dsl import parse_formula, parse_group
 from szk.ppeval import (eval_formula, index_class, meet, profile_stats)
@@ -153,6 +153,31 @@ class TestIndexClass:
         h = eval_formula(g, parse_formula("tor(4)"))
         k = eval_formula(g, parse_formula("div(2,3,1)"))
         assert index_class(h, meet(h, k)).is_infinite
+
+    def test_shared_blocks_skip_materialize(self, monkeypatch):
+        calls = []
+        real = ppeval.materialize
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        g = parse_group("Z(2^3)^2 + Z(3^1)^w")
+        h = eval_formula(g, parse_formula("tor(4)"))
+        k = eval_formula(g, parse_formula("tor(6)"))
+        assert h.blocks == k.blocks
+        monkeypatch.setattr(ppeval, "materialize", counted)
+        # 2-part: the 4-torsion (order 16) over the 2-torsion (order 4)
+        assert index_class(h, k) == Index.of(4)
+        assert calls == []
+        # tails split at different heights: one shared materialization
+        g = parse_group("tail(2)")
+        h = eval_formula(g, parse_formula("tor(4)"))
+        k = eval_formula(g, parse_formula("div(2,3,1)"))
+        assert h.blocks != k.blocks
+        calls.clear()
+        assert index_class(h, k) == Index.of(4)
+        assert len(calls) == 1
 
     # expected index, None for infinite; the one-prime groups keep the
     # comparison on a single block of the named kind (the prime-tail

@@ -1,5 +1,6 @@
 """Closed-form rank: case equations, witnesses, classification, vc-density."""
 
+import importlib
 import itertools
 import random
 
@@ -7,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from szk import corpus
+from szk import corpus, rank
 from szk.dsl import parse_group
 from szk.oracle import verify_inp
 from szk.rank import (classify, dp_rank, gap_count, seed_witnesses, vc_density)
+
+# the package re-exports the function normalize under the module's name
+normalize_module = importlib.import_module("szk.normalize")
 
 
 def dp(text: str):
@@ -118,6 +122,25 @@ class TestCorpusProperties:
         da, db = dp_rank(a).dp, dp_rank(b).dp
         ds = dp_rank(direct_sum(a, b)).dp
         assert max(da, db) <= ds <= da + db
+
+
+class TestOnePass:
+    def test_dp_rank_normalizes_once(self, monkeypatch):
+        calls = []
+        real = normalize_module.normalize
+
+        def counted(desc):
+            calls.append(desc)
+            return real(desc)
+
+        monkeypatch.setattr(normalize_module, "normalize", counted)
+        monkeypatch.setattr(rank, "normalize", counted)
+        g = parse_group("Z(2^1)^w + Z(8)^w + tail(3)")
+        report = dp_rank(g)
+        assert len(calls) == 1
+        # the public entry points still answer as they did
+        assert report.derived == normalize_module.derived_sets(g)
+        assert report.witnesses == seed_witnesses(g)
 
 
 class TestSeedWitnesses:
