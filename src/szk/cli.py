@@ -9,18 +9,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import os
-import random
 import sys
 from typing import List, Optional
 
-from . import corpus, oracle, ppeval, rank, shatter
-from .core import INFINITE, SzmielewDescription, is_omega
+# only what every subcommand needs loads here; each handler imports the rest,
+# so that a cold call compiles no module it does not run
+from .core import INFINITE, PoolOverflowError
 from .dsl import ParseError, parse_formula, parse_group, render_formula, render_group
-from .normalize import (derived_sets, derived_sets_json, invariants,
-                        invariants_json, is_equivalent, normalize, value_json)
+from .normalize import invariants, invariants_json, is_equivalent, normalize
 
 
 def _emit(args, payload: dict, human: str):
@@ -73,6 +71,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    from . import rank
     g = parse_group(args.group)
     report = rank.dp_rank(g)
     payload = rank.rank_json(report)
@@ -87,6 +86,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import rank
     g = parse_group(args.group)
     c = rank.classify(g)
     payload = rank.classify_json(c)
@@ -99,6 +99,7 @@ def _cmd_classify(args) -> int:
 def _cmd_vc(args) -> int:
     if args.m < 1:
         raise ValueError("--m must be at least 1")
+    from . import rank
     g = parse_group(args.group)
     report = rank.vc_density(g, range(1, args.m + 1))
     payload = rank.vc_json(report)
@@ -109,6 +110,7 @@ def _cmd_vc(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from . import ppeval
     g = parse_group(args.group)
     f = parse_formula(args.formula)
     profile = ppeval.eval_formula(g, f)
@@ -128,6 +130,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_index(args) -> int:
+    from . import ppeval
     g = parse_group(args.group)
     h = ppeval.eval_formula(g, parse_formula(args.formula1))
     k = ppeval.eval_formula(g, parse_formula(args.formula2))
@@ -138,6 +141,7 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from . import rank
     g = parse_group(args.group)
     fams = rank.seed_witnesses(g)
     payload = {"families": [
@@ -150,6 +154,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_breadth(args) -> int:
+    from . import oracle
     g = parse_group(args.group)
     result = oracle.breadth_search(g, args.pool_bound, args.max_depth)
     payload = oracle.breadth_json(result)
@@ -162,6 +167,9 @@ def _cmd_breadth(args) -> int:
 
 
 def _cmd_shatter(args) -> int:
+    import csv
+
+    from . import shatter
     g = shatter.FinAbGroup(tuple(args.orders))
     formulas = [parse_formula(t) for t in args.formulas]
     family = shatter.coset_family(g, formulas)
@@ -174,6 +182,7 @@ def _cmd_shatter(args) -> int:
 
 
 def _fuzz_one(seed_desc) -> Optional[str]:
+    from . import oracle, rank
     desc = seed_desc
     report = rank.dp_rank(desc)
     if report.dp is None:
@@ -187,6 +196,9 @@ def _fuzz_one(seed_desc) -> Optional[str]:
 
 
 def _cmd_fuzz(args) -> int:
+    import random
+
+    from . import corpus
     rng = random.Random(args.seed)
     descs = [corpus.random_description(rng) for _ in range(args.count)]
     if args.jobs > 1:
@@ -291,7 +303,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         with contextlib.suppress(OSError):
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ParseError, ValueError, oracle.PoolOverflowError) as e:
+    except (ParseError, ValueError, PoolOverflowError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     except MemoryError:

@@ -7,7 +7,10 @@ symbol ``INFINITE``.  Everything here is an immutable value with no I/O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import itertools
+import sys
+from dataclasses import dataclass
+from math import gcd
 from typing import Dict, List, Optional, Tuple, Union
 
 
@@ -67,6 +70,13 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
+class PoolOverflowError(RuntimeError):
+    """The candidate pool exceeds the configured cap (env SZK_MAX_POOL).
+
+    Raised by the oracle; defined here so that catching it needs no oracle
+    import."""
+
+
 def is_omega(m: Mult) -> bool:
     return isinstance(m, _Omega)
 
@@ -81,6 +91,21 @@ def mult_sort_key(m: Mult) -> Tuple[int, int]:
     return (1, 0) if is_omega(m) else (0, m)
 
 
+# Trial division decides every n below _TRIAL_MAX on its own; larger n go to
+# Miller-Rabin, whose prime bases 2..41 are exact below 3.317e24 (bases
+# 2..37 alone are fooled by 318665857834031151167461; Sorenson-Webster 2015),
+# and composite cofactors are split by Pollard-Brent rho.
+_TRIAL_DIV = 1 << 10
+_TRIAL_MAX = _TRIAL_DIV ** 2
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MAX_N = 33 * 10 ** 23
+
+
+def _check_size(n: int) -> None:
+    if n >= _MAX_N:
+        raise ValueError("cannot decide primality at or above 3.3e24")
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -88,6 +113,9 @@ def is_prime(n: int) -> bool:
         return True
     if n % 2 == 0:
         return False
+    if n >= _TRIAL_MAX:
+        _check_size(n)
+        return _miller_rabin(n)
     d = 3
     while d * d <= n:
         if n % d == 0:
@@ -96,13 +124,74 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _miller_rabin(n: int) -> bool:
+    """Deterministic for odd n below 3.317e24."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite n (Pollard rho, Brent's cycle
+    search with gcds batched over 128 steps); deterministic in n."""
+    for c in itertools.count(1):
+        x = y = ys = 2
+        r, q, g = 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: redo its steps one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def prime_factors(n: int) -> Dict[int, int]:
-    """Factor a positive integer into {prime: exponent}."""
+    """Factor a positive integer into {prime: exponent}, primes ascending."""
     if n < 1:
         raise ValueError("can only factor positive integers")
     out: Dict[int, int] = {}
     d = 2
     while d * d <= n:
+        if d > _TRIAL_DIV:
+            # n has no factor below _TRIAL_DIV, so a factor of n below
+            # _TRIAL_MAX is prime
+            _check_size(n)
+            stack = [n]
+            while stack:
+                n = stack.pop()
+                if n < _TRIAL_MAX or _miller_rabin(n):
+                    out[n] = out.get(n, 0) + 1
+                else:
+                    f = _rho_factor(n)
+                    stack += [f, n // f]
+            return dict(sorted(out.items()))
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
@@ -166,8 +255,19 @@ class Index:
         return self.factors == ()
 
     def value(self) -> int:
+        """The index as an integer.  An integer too long to print (past
+        ``sys.get_int_max_str_digits()``) raises the ValueError that printing
+        it would, before it is built."""
         if self.factors is None:
             raise ValueError("infinite index has no integer value")
+        limit = sys.get_int_max_str_digits()
+        # the value is at least 2^bits, which passes 10^limit once
+        # bits > limit * log2(10)
+        bits = sum(e * (p.bit_length() - 1) for p, e in self.factors)
+        if limit and bits > 3.322 * limit:
+            raise ValueError("Exceeds the limit (%d digits) for integer string "
+                             "conversion; use sys.set_int_max_str_digits() to "
+                             "increase the limit" % limit)
         out = 1
         for p, e in self.factors:
             out *= p ** e

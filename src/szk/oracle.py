@@ -24,17 +24,13 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .core import (Div, Index, PPFormula, SzmielewDescription, div, is_omega,
-                   is_prime, tor)
+from .core import (Div, Index, PoolOverflowError, PPFormula,
+                   SzmielewDescription, div, is_omega, is_prime, tor)
 from .normalize import normalize
 from .ppeval import (KINDS, Block, _formula_requirements, _index, _locals,
                      _meet_locals, index_json, materialize)
 
 DEFAULT_MAX_POOL = 50000
-
-
-class PoolOverflowError(RuntimeError):
-    """The candidate pool exceeds the configured cap (env SZK_MAX_POOL)."""
 
 
 def _max_pool() -> int:

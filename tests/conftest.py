@@ -1,8 +1,13 @@
-"""Shared fixtures: seeded corpora and JSON schema validation."""
+"""Shared fixtures: seeded corpora, JSON schema validation and cold CLI runs."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
+from typing import FrozenSet, List, NamedTuple
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -10,7 +15,8 @@ from referencing import Registry, Resource
 
 from szk import corpus
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "szk" / "schemas"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_DIR = ROOT / "src" / "szk" / "schemas"
 
 CORPUS_SEED = 12345
 CORPUS_SIZE = 200
@@ -45,3 +51,44 @@ def mixed_corpus():
     rng = random.Random(CORPUS_SEED + 1)
     return [corpus.random_description(rng, finite_dp_only=False)
             for _ in range(CORPUS_SIZE)]
+
+
+# Runs szk.cli as __main__ the way `python -m szk.cli` does, then writes the
+# names of the loaded szk modules to the file named by its first argument.
+# The address space is capped at 1 GiB, so that a regression that builds a
+# huge integer fails with MemoryError instead of taking the machine's memory.
+_RUN_CLI = """\
+import atexit, pathlib, resource, runpy, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+out = pathlib.Path(sys.argv.pop(1))
+atexit.register(lambda: out.write_text(" ".join(
+    m for m in sys.modules if m.partition(".")[0] == "szk")))
+runpy.run_module("szk.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+class SzkRun(NamedTuple):
+    code: int
+    out: str
+    err: str
+    modules: FrozenSet[str]
+
+
+def run_szk(argv: List[str], timeout: float) -> SzkRun:
+    """One cold `szk` process on `argv` that writes no byte code cache; a run
+    that outlasts `timeout` seconds fails the calling test."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    env.pop("SZK_MAX_POOL", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        listing = Path(tmp) / "modules"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", _RUN_CLI, str(listing)] + list(argv),
+                cwd=ROOT, env=env, stdin=subprocess.DEVNULL,
+                capture_output=True, text=True, timeout=timeout)
+        except subprocess.TimeoutExpired:
+            pytest.fail("szk %s ran past %s s" % (" ".join(argv), timeout))
+        modules = frozenset(listing.read_text().split()
+                            if listing.exists() else ())
+    return SzkRun(proc.returncode, proc.stdout, proc.stderr, modules)

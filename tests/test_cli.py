@@ -1,15 +1,20 @@
 """Command-line interface: outputs, exit codes, JSON payload schemas."""
 
 import csv
+import importlib
 import io
 import json
+import os
+import subprocess
 import sys
+import time
 
 import pytest
 
+import szk
 from szk import shatter
 from szk.cli import main
-from tests.conftest import validate_payload
+from tests.conftest import ROOT, run_szk, validate_payload
 
 
 def run(capsys, *argv):
@@ -196,3 +201,117 @@ class TestJsonPayloads:
         payload = run_json(capsys, "fuzz", "fuzz", "--count", "3",
                            "--seed", "9")
         assert payload["disagreements"] == []
+
+
+# the names `szk` exported before its submodules loaded lazily, by home module
+PUBLIC_NAMES = {
+    "core": ["INFINITE", "OMEGA", "Div", "Index", "PPFormula", "PrimeTailShape",
+             "SzmielewDescription", "TailSpec", "Tor", "direct_sum", "div",
+             "make_description", "make_prime_tail", "tor", "validate",
+             "PoolOverflowError"],
+    "dsl": ["ParseError", "SourceSpan", "parse_formula", "parse_group", "render",
+            "render_formula", "render_group"],
+    "normalize": ["DerivedSets", "InvariantReport", "derived_sets", "invariants",
+                  "is_equivalent", "normalize"],
+    "ppeval": ["ProfileStats", "SubgroupProfile", "eval_formula", "index_class",
+               "meet", "profile_stats"],
+    "rank": ["Classification", "RankReport", "VcReport", "WitnessFamily",
+             "classify", "dp_rank", "gap_count", "seed_witnesses", "vc_density"],
+    "oracle": ["BreadthResult", "InpVerdict", "breadth_search", "candidate_pool",
+               "verify_inp"],
+    "shatter": ["FinAbGroup", "SetFamily", "coset_family", "shatter_function",
+                "subgroup_members", "vc_dim"],
+}
+SUBMODULES = ["core", "dsl", "ppeval", "rank", "oracle", "shatter"]
+
+# one argument list per subcommand of the cold-call benchmark, and the
+# modules each of them must not load
+COLD_CALLS = [
+    (["normalize", "Q^3 + Z_(2)"], {"ppeval", "rank"}),
+    (["rank", "Z(2^1)^w + Z(8)^w"], {"ppeval"}),
+    (["classify", "tail(2,w)"], {"ppeval"}),
+    (["eval", "Z(2^3)^2", "tor(2) & div(2,1,0)"], {"rank"}),
+    (["index", "Z(2^3)^w", "top", "tor(2)"], {"rank"}),
+]
+
+
+class TestColdPath:
+    @pytest.mark.parametrize("argv,unused", COLD_CALLS,
+                             ids=[a[0] for a, _ in COLD_CALLS])
+    def test_loads_only_what_it_runs(self, capsys, argv, unused):
+        cold = run_szk(["--json"] + argv, timeout=30)
+        assert cold.code == 0, cold.err
+        for mod in {"oracle", "shatter", "corpus"} | unused:
+            assert "szk." + mod not in cold.modules
+        assert {"szk", "szk.core", "szk.dsl", "szk.normalize"} <= cold.modules
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 0 and cold.out == out
+
+    def test_public_names_unchanged(self):
+        namespace = {}
+        exec("from szk import *", namespace)
+        for mod, names in PUBLIC_NAMES.items():
+            module = importlib.import_module("szk." + mod)
+            for name in names:
+                assert getattr(szk, name) is getattr(module, name), name
+                assert namespace[name] is getattr(module, name), name
+        for mod in SUBMODULES:
+            assert getattr(szk, mod) is importlib.import_module("szk." + mod)
+        public = {n for names in PUBLIC_NAMES.values() for n in names}
+        assert set(szk.__all__) == public | set(SUBMODULES)
+        assert set(szk.__all__) <= set(dir(szk))
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError):
+            szk.no_such_name
+
+    def test_pool_overflow_error_is_shared(self):
+        from szk import core, oracle
+        assert oracle.PoolOverflowError is core.PoolOverflowError
+
+    def test_normalize_stays_the_function(self):
+        # a fresh process, so that every lazy load happens after the check's
+        # module is bound
+        script = (
+            "import contextlib, importlib, io\n"
+            "import szk, szk.cli\n"
+            "for argv in (['rank', 'Q'], ['eval', 'Z(2^1)', 'tor(2)'],\n"
+            "             ['breadth', 'Z_(2)', '--pool-bound', '1'],\n"
+            "             ['shatter', '--orders', '4', '--formulas', 'tor(2)',\n"
+            "              '--n', '2'],\n"
+            "             ['fuzz', '--count', '1']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert szk.cli.main(argv) == 0, argv\n"
+            "module = importlib.import_module('szk.normalize')\n"
+            "assert szk.normalize is module.normalize\n"
+            "from szk import normalize\n"
+            "assert normalize is module.normalize\n")
+        proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestBoundedTime:
+    def test_huge_index_value(self):
+        # 2^(10^11) is never built: the value is refused by its size
+        cold = run_szk(["eval", "Z(2^1)^99999999999", "top"], timeout=10)
+        assert cold.code == 1 and cold.out == ""
+        assert cold.err.startswith("error: Exceeds the limit (")
+        assert cold.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["rank", "Z(2305843009213693951^1)"], "dp-rank: 0"),
+        (["eval", "Z(2^3)", "tor(2305843009213693951)"], "cardinality: 1"),
+    ], ids=["rank", "eval"])
+    def test_large_prime(self, argv, expected):
+        t0 = time.perf_counter()
+        cold = run_szk(argv, timeout=10)
+        assert time.perf_counter() - t0 < 2
+        assert cold.code == 0, cold.err
+        assert cold.out.splitlines()[0] == expected
+
+    def test_beyond_exact_primality(self):
+        cold = run_szk(["rank", "Z(%d^1)" % (33 * 10 ** 23)], timeout=10)
+        assert cold.code == 1 and cold.out == ""
+        assert cold.err.startswith("error:") and cold.err.count("\n") == 1

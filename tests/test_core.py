@@ -1,5 +1,8 @@
 """Value types: multiplicities, factored indices, descriptions, formulas."""
 
+import random
+import sys
+
 import pytest
 
 from szk.core import (INFINITE, OMEGA, Div, Index, PPFormula, TailSpec, Tor,
@@ -49,6 +52,40 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             prime_factors(0)
 
+    def test_matches_trial_division(self):
+        ns = list(range(1, 10 ** 5 + 1))
+        rng = random.Random(40)
+        ns += [rng.getrandbits(40) | 1 << 39 for _ in range(200)]
+        for n in ns:
+            assert is_prime(n) == trial_is_prime(n), n
+            assert list(prime_factors(n).items()) == trial_factors(n), n
+
+    def test_large_primes(self):
+        m61 = 2 ** 61 - 1
+        assert is_prime(m61)
+        assert prime_factors(m61 * (2 ** 19 - 1)) == {2 ** 19 - 1: 1, m61: 1}
+        p, q = 1099511627689, 1099511627791
+        assert prime_factors(p * q * 2) == {2: 1, p: 1, q: 1}
+        m31 = 2 ** 31 - 1
+        assert prime_factors(3 * m31 ** 2) == {3: 1, m31: 2}
+
+    def test_strong_pseudoprimes(self):
+        # the least strong pseudoprimes to the prime bases up to 31 and to 37
+        assert not is_prime(3825123056546413051)
+        assert not is_prime(318665857834031151167461)
+        assert prime_factors(318665857834031151167461) == {
+            399165290221: 1, 798330580441: 1}
+
+    def test_rejects_beyond_exact_range(self):
+        n = 33 * 10 ** 23
+        assert prime_factors(n - 1) == {n - 1: 1}  # the bound minus 1 is prime
+        with pytest.raises(ValueError, match="3.3e24"):
+            is_prime(n + 1)
+        with pytest.raises(ValueError, match="3.3e24"):
+            prime_factors((2 ** 61 - 1) ** 2)
+        # the bound applies to what is left after trial division
+        assert prime_factors(2 ** 100 * 3) == {2: 100, 3: 1}
+
     def test_valuation(self):
         assert p_adic_valuation(40, 2) == 3
         assert p_adic_valuation(40, 5) == 1
@@ -73,6 +110,18 @@ class TestIndex:
     def test_value_of_infinite_raises(self):
         with pytest.raises(ValueError):
             Index.infinite().value()
+
+    def test_value_too_long_to_print(self):
+        # refused by size; the CLI test covers an exponent too large to build
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            Index.prime_power(2, 10 ** 7).value()
+        assert Index.prime_power(2, 14000).value() == 2 ** 14000
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            assert Index.prime_power(2, 10 ** 5).value() == 2 ** 10 ** 5
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_repr(self):
         assert repr(Index.of(8)) == "Finite(8)"
@@ -174,3 +223,33 @@ class TestFormulas:
         assert check_atom(Div(4, 2, 1)) is not None
         assert check_atom(Div(2, 2, 2)) is not None
         assert check_atom(Div(2, 2, 1)) is None
+
+
+def trial_is_prime(n):
+    """The trial-division primality test that core.is_prime replaced."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def trial_factors(n):
+    """The trial-division factorization that core.prime_factors replaced."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return list(out.items())
