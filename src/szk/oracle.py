@@ -182,8 +182,11 @@ class BreadthResult:
 # occupies(mult, v), whether a member with local v can hold the slot;
 # beats(mult, vx, vy), whether member y loses to the occupant x; and
 # loser(mult, vals), a test of whether a local loses to some occupant with
-# a local in vals.  solve runs that test in its innermost pruning loop, so
-# it is one comparison against a precomputed extreme.
+# a local in vals.  Each test reads the local of one block only, so
+# breadth_search runs occupies and loser once per distinct local: it keeps,
+# per block, the bitmask of the candidates holding each local, and solve
+# prunes its slot domains by and-ing such masks, before it forms any class
+# of candidates.  A class therefore lies wholly inside or outside a domain.
 
 
 def _tf_key(v):
@@ -310,14 +313,32 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
     blocks = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
     whole = _locals(blocks, PPFormula.top())
 
-    # dedup by relevant profile, drop finite-index subgroups
-    cands = [(f, key) for f, key in _profiles(primes, B, blocks)
-             if _index(blocks, whole, key).is_infinite]
-    cands.sort(key=lambda fk: _search_key(fk[0]))
+    # the pool's profiles, divisibility candidates first as the search tries
+    # them; per block, each distinct local with the bitmask of the
+    # candidates holding it
+    cands = sorted(_profiles(primes, B, blocks),
+                   key=lambda fk: _search_key(fk[0]))
+    holders: List[Dict[object, int]] = [{} for _ in blocks]
+    for ci, (_f, key) in enumerate(cands):
+        for v, held in zip(key, holders):
+            held[v] = held.get(v, 0) | 1 << ci
 
-    ub = min(_slot_bound(blocks), len(cands))
+    def holding(bi: int, test) -> int:
+        # one block's masks are disjoint, so their sum is their union
+        return sum(m for v, m in holders[bi].items() if test(v))
+
+    # a finite-index subgroup is never a member: only the candidates whose
+    # local has infinite index in the whole at some block can occupy a slot
+    infinite = 0
+    for bi, ((kind, data, mult), w) in enumerate(zip(blocks, whole)):
+        infinite |= holding(bi, lambda v: v != w and
+                            KINDS[kind].index(data, mult, w, v) is None)
+    ub = min(_slot_bound(blocks), infinite.bit_count())
     target = min(maxK, ub)
     slots = _slots_of(blocks)
+    occupiable = [
+        infinite & holding(bi, lambda v: mode.occupies(blocks[bi][2], v))
+        for bi, mode in slots]
 
     def family_valid(idxs: List[int]) -> bool:
         locs = [cands[i][1] for i in idxs]
@@ -327,49 +348,50 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
     def solve(chosen_slots: Tuple[int, ...]) -> Optional[List[int]]:
         """Find a family occupying exactly these slots, or prove none exists.
 
-        Members are searched as equivalence classes of candidates sharing
-        their locals at the participating blocks; validity at these slots
-        only depends on those locals, and any family witnessed elsewhere is
-        found under the slot set naming its actual witness blocks.
+        Each domain, a bitmask over the candidates, starts as those that can
+        occupy its slot and is pruned to a fixed point.  Only if none empties
+        are members searched, as classes of the live candidates sharing their
+        locals at the participating blocks; validity at these slots only
+        depends on those locals, and any family witnessed elsewhere is found
+        under the slot set naming its actual witness blocks.
         """
         S = [slots[si] for si in chosen_slots]
-        bis = sorted({bi for bi, _mode in S})
-        classes: List[Tuple[int, tuple]] = []      # (candidate index, projection)
-        proj_seen = set()
-        for ci, (_f, key) in enumerate(cands):
-            proj = tuple(key[bi] for bi in bis)
-            if proj not in proj_seen:
-                proj_seen.add(proj)
-                classes.append((ci, proj))
-        pos = {bi: k for k, bi in enumerate(bis)}
         mults = [blocks[bi][2] for bi, _mode in S]
-        at = [pos[bi] for bi, _mode in S]
         modes = [mode for _bi, mode in S]
         t = len(S)
 
-        domains: List[List[int]] = []
-        for k in range(t):
-            domains.append([c for c in range(len(classes))
-                            if modes[k].occupies(mults[k], classes[c][1][at[k]])])
-
-        # prune every class that cannot lose to any possible occupant of a
-        # slot, iterating to a fixed point
+        masks = [occupiable[si] for si in chosen_slots]
         changed = True
         while changed:
             changed = False
             for k in range(t):
-                if not domains[k]:
+                if not masks[k]:
                     return None
-                ok = modes[k].loser(mults[k],
-                                    [classes[c][1][at[k]] for c in domains[k]])
+                bi = S[k][0]
+                ok = modes[k].loser(mults[k], [v for v, m in holders[bi].items()
+                                               if m & masks[k]])
+                keep = holding(bi, ok)
                 for j in range(t):
-                    if j == k:
-                        continue
-                    kept = [c for c in domains[j] if ok(classes[c][1][at[k]])]
-                    if len(kept) != len(domains[j]):
-                        domains[j] = kept
+                    if j != k and masks[j] & keep != masks[j]:
+                        masks[j] &= keep
                         changed = True
 
+        bis = sorted({bi for bi, _mode in S})
+        live = 0
+        for d in masks:
+            live |= d
+        classes: List[Tuple[int, tuple]] = []      # (candidate index, projection)
+        proj_seen = set()
+        for ci, (_f, key) in enumerate(cands):
+            if live >> ci & 1:
+                proj = tuple(key[bi] for bi in bis)
+                if proj not in proj_seen:
+                    proj_seen.add(proj)
+                    classes.append((ci, proj))
+        pos = {bi: k for k, bi in enumerate(bis)}
+        at = [pos[bi] for bi, _mode in S]
+        domains = [[c for c, (ci, _proj) in enumerate(classes) if d >> ci & 1]
+                   for d in masks]
         order = sorted(range(t), key=lambda k: len(domains[k]))
 
         def assign(step: int, doms: List[List[int]],

@@ -15,6 +15,7 @@ from typing import List, Sequence, Tuple
 from .core import Div, PPFormula, SzmielewDescription, Tor, is_omega
 
 GROUP_CAP = 10 ** 6
+FAMILY_BITS_CAP = 10 ** 8       # cosets times carrier bits: 12.5 MB of masks
 SUBSET_CAP = 6
 
 
@@ -102,9 +103,16 @@ class SetFamily:
 
 
 def coset_family(g: FinAbGroup, formulas: Sequence[PPFormula]) -> SetFamily:
+    """Every coset of each formula's subgroup, as a bitmask over g; refused
+    by size before the masks of a subgroup are built."""
     sets: List[int] = []
+    bits = 0
     for f in formulas:
         members = subgroup_members(g, f)
+        bits += g.size // len(members) * g.size
+        if bits > FAMILY_BITS_CAP:
+            raise ValueError("coset family needs %d mask bits, cap is %d"
+                             % (bits, FAMILY_BITS_CAP))
         covered = set()
         for a in range(g.size):
             if a in covered:

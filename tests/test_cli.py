@@ -311,6 +311,14 @@ class TestBoundedTime:
         assert cold.code == 0, cold.err
         assert cold.out.splitlines()[0] == expected
 
+    def test_shatter_refused_by_size(self):
+        # 250,000 cosets of 10^6 bits each: refused before any is built
+        cold = run_szk(["shatter", "--orders", "1000", "1000",
+                        "--formulas", "tor(2)"], timeout=2)
+        assert cold.code == 1 and cold.out == ""
+        assert cold.err.startswith("error: coset family needs ")
+        assert cold.err.count("\n") == 1
+
     def test_beyond_exact_primality(self):
         cold = run_szk(["rank", "Z(%d^1)" % (33 * 10 ** 23)], timeout=10)
         assert cold.code == 1 and cold.out == ""

@@ -7,11 +7,11 @@ import time
 import pytest
 
 from szk import corpus, oracle
-from szk.core import div, tor
+from szk.core import PPFormula, div, is_omega, tor
 from szk.dsl import parse_formula, parse_group, render_formula
 from szk.oracle import (PoolOverflowError, breadth_search, candidate_pool,
                         verify_inp)
-from szk.ppeval import KINDS, _locals
+from szk.ppeval import KINDS, _index, _locals
 from szk.rank import dp_rank
 
 G10 = ("Z(2^1)^w + Z(2^3)^w + Z(2^5)^w + Z(2^7)^w + Z(3^1)^w + Z(3^3)^w"
@@ -48,6 +48,109 @@ def brute_force_profiles(primes, B, blocks):
             seen.add(key)
             out.append((f, key))
     return out
+
+
+def reference_breadth_search(desc, B, maxK):
+    """The search that projects every candidate onto the slot blocks on each
+    solve call, and filters the pool by one index computation per profile."""
+    primes, blocks = oracle._pool(desc, B)
+    blocks = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
+    whole = _locals(blocks, PPFormula.top())
+    cands = [(f, key) for f, key in oracle._profiles(primes, B, blocks)
+             if _index(blocks, whole, key).is_infinite]
+    cands.sort(key=lambda fk: oracle._search_key(fk[0]))
+    ub = min(oracle._slot_bound(blocks), len(cands))
+    target = min(maxK, ub)
+    slots = oracle._slots_of(blocks)
+
+    def family_valid(idxs):
+        locs = [cands[i][1] for i in idxs]
+        return all(_index(blocks, rest, full).is_infinite
+                   for rest, full in oracle._leave_one_out(blocks, locs))
+
+    def solve(chosen_slots):
+        S = [slots[si] for si in chosen_slots]
+        bis = sorted({bi for bi, _mode in S})
+        classes = []
+        proj_seen = set()
+        for ci, (_f, key) in enumerate(cands):
+            proj = tuple(key[bi] for bi in bis)
+            if proj not in proj_seen:
+                proj_seen.add(proj)
+                classes.append((ci, proj))
+        pos = {bi: k for k, bi in enumerate(bis)}
+        mults = [blocks[bi][2] for bi, _mode in S]
+        at = [pos[bi] for bi, _mode in S]
+        modes = [mode for _bi, mode in S]
+        t = len(S)
+        domains = [[c for c in range(len(classes))
+                    if modes[k].occupies(mults[k], classes[c][1][at[k]])]
+                   for k in range(t)]
+        changed = True
+        while changed:
+            changed = False
+            for k in range(t):
+                if not domains[k]:
+                    return None
+                ok = modes[k].loser(mults[k],
+                                    [classes[c][1][at[k]] for c in domains[k]])
+                for j in range(t):
+                    if j == k:
+                        continue
+                    kept = [c for c in domains[j] if ok(classes[c][1][at[k]])]
+                    if len(kept) != len(domains[j]):
+                        domains[j] = kept
+                        changed = True
+        order = sorted(range(t), key=lambda k: len(domains[k]))
+
+        def assign(step, doms, picked):
+            if step == t:
+                reps = sorted(classes[c][0] for _k, c in picked)
+                return reps if family_valid(reps) else None
+            k = order[step]
+            for c in doms[k]:
+                vx = classes[c][1][at[k]]
+                nxt = list(doms)
+                dead = False
+                for lk in order[step + 1:]:
+                    kept = []
+                    for z in doms[lk]:
+                        if z == c:
+                            continue
+                        vz = classes[z][1]
+                        if (modes[k].beats(mults[k], vx, vz[at[k]])
+                                and modes[lk].beats(mults[lk], vz[at[lk]],
+                                                    classes[c][1][at[lk]])):
+                            kept.append(z)
+                    if not kept:
+                        dead = True
+                        break
+                    nxt[lk] = kept
+                if dead:
+                    continue
+                got = assign(step + 1, nxt, picked + [(k, c)])
+                if got is not None:
+                    return got
+            return None
+
+        return assign(0, domains, [])
+
+    best = []
+    for t in range(1, target + 1):
+        found = None
+        for chosen in itertools.combinations(range(len(slots)), t):
+            used = [slots[si][0] for si in chosen]
+            if any(used.count(bi) > 1 and not is_omega(blocks[bi][2])
+                   for bi in set(used)):
+                continue
+            found = solve(chosen)
+            if found is not None:
+                break
+        if found is None:
+            break
+        best = found
+    capped = len(best) >= maxK and maxK < ub
+    return len(best), tuple(cands[i][0] for i in best), not capped
 
 
 # every block kind, omega multiplicities and prime tails
@@ -250,3 +353,58 @@ class TestBreadthSearch:
             b0 = desc.max_exponent() + 2
             r = breadth_search(desc, b0, report.dp + 1)
             assert r.depth == report.dp
+
+
+# the oracle_deep ladder: (group, pool bound, depth cap)
+DEEP_RUNGS = [("tail(2,w)", 14, 5), ("tail(2,w)", 16, 5),
+              ("tail(2,w) + tail(3,w)", 8, 4), (G10, 3, 10)]
+
+
+class TestSearchMatchesReference:
+    """The once-per-search masks return what per-call projection returned."""
+
+    def check(self, desc, B, maxK):
+        r = breadth_search(desc, B, maxK)
+        assert (r.depth, r.witness, r.exhausted) == reference_breadth_search(
+            desc, B, maxK), (desc, B, maxK)
+
+    def test_finite_dp_corpus_at_b0(self):
+        rng = random.Random(4242)
+        for _ in range(60):
+            desc = corpus.random_description(rng)
+            self.check(desc, desc.max_exponent() + 2, dp_rank(desc).dp + 1)
+
+    @pytest.mark.parametrize("text,B,maxK", DEEP_RUNGS,
+                             ids=["tail2-14", "tail2-16", "tail23-8", "g10-3"])
+    def test_deep_rungs(self, text, B, maxK):
+        self.check(parse_group(text), B, maxK)
+
+    def test_tail_ladder(self):
+        for B in range(1, 11):
+            self.check(parse_group("tail(2,w)"), B, 12)
+
+    @pytest.mark.parametrize("text", [
+        "Z(2^1)^2 + Z(3^4)^2 + Z_(2)^2 + Z_(7)^2",
+        "Z(3^1) + Z(3^5) + forall_p{Z_(P)}",
+        "Z_(3)^2 + Z(3^inf)^2 + Q"])
+    def test_cap_at_the_infinite_index_count(self, text):
+        # one candidate of infinite index: depth 1 at cap 1 is exhausted,
+        # though the pool holds more candidates and the slots allow more
+        r = breadth_search(parse_group(text), 1, 1)
+        assert (r.depth, r.exhausted) == (1, True)
+        self.check(parse_group(text), 1, 1)
+
+
+class TestInfiniteRankSide:
+    def test_tail_depth_grows_every_second_bound(self):
+        # non-decreasing and unbounded in B, one step per two bounds
+        g = parse_group("tail(2,w)")
+        for B in range(1, 11):
+            r = breadth_search(g, B, 12)
+            assert (r.depth, r.exhausted) == ((B + 3) // 2, True), B
+
+    def test_time_budget(self):
+        start = time.perf_counter()
+        r = breadth_search(parse_group("tail(2,w)"), 24, 5)
+        assert time.perf_counter() - start < 1.5
+        assert r.depth == 5

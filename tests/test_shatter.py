@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from szk import corpus
+from szk import corpus, shatter
 from szk.dsl import parse_formula, parse_group
 from szk.shatter import (FinAbGroup, SetFamily, coset_family,
                          from_description, shatter_function, shatter_rows,
@@ -88,6 +88,16 @@ class TestCosets:
         fam = coset_family(g, formulas)
         # 16/|H| cosets per formula: 4 + 2 + 1
         assert len(fam.sets) == 7
+
+    def test_refused_by_size(self, monkeypatch):
+        # 4 cosets of tor(2) and 2 of tor(4), 16 bits each
+        g = from_description(parse_group("Z(8) + Z(2^1)"))
+        formulas = [parse_formula("tor(2)"), parse_formula("tor(4)")]
+        monkeypatch.setattr(shatter, "FAMILY_BITS_CAP", 96)
+        assert len(coset_family(g, formulas).sets) == 6
+        monkeypatch.setattr(shatter, "FAMILY_BITS_CAP", 95)
+        with pytest.raises(ValueError, match="needs 96 mask bits, cap is 95"):
+            coset_family(g, formulas)
 
 
 class TestShatter:
