@@ -170,6 +170,8 @@ def _cmd_shatter(args) -> int:
     import csv
 
     from . import shatter
+    if args.n < 0:
+        raise ValueError("--n must be at least 0")
     g = shatter.FinAbGroup(tuple(args.orders))
     formulas = [parse_formula(t) for t in args.formulas]
     family = shatter.coset_family(g, formulas)

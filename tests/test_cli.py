@@ -119,6 +119,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "vc", "Q", "--m", "0")
         assert code == 1
 
+    def test_negative_sample_size(self, capsys):
+        code, out, err = run(capsys, "shatter", "--orders", "4",
+                             "--formulas", "tor(2)", "--n", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: --n must be at least 0\n"
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
@@ -318,6 +324,22 @@ class TestBoundedTime:
         assert cold.code == 1 and cold.out == ""
         assert cold.err.startswith("error: coset family needs ")
         assert cold.err.count("\n") == 1
+
+    def test_shatter_refused_by_samples(self):
+        # 2,500 cosets pass the mask cap; C(10^4, 2) pairs of points are
+        # refused before any is taken
+        cold = run_szk(["shatter", "--orders", "100", "100",
+                        "--formulas", "tor(2)"], timeout=2)
+        assert cold.code == 1 and cold.out == ""
+        assert cold.err.startswith("error: pi(2) needs 49995000 samples ")
+        assert cold.err.count("\n") == 1
+
+    def test_shatter_huge_exponent(self):
+        # the subgroup is read from 2^(10^8) mod 8; the power is never built
+        cold = run_szk(["shatter", "--orders", "8", "--formulas",
+                        "div(2,100000000,0)", "--n", "2"], timeout=2)
+        assert cold.code == 0, cold.err
+        assert cold.out.splitlines() == ["n,pi,pow2", "0,1,1", "1,2,2", "2,3,4"]
 
     def test_beyond_exact_primality(self):
         cold = run_szk(["rank", "Z(%d^1)" % (33 * 10 ** 23)], timeout=10)

@@ -1,16 +1,84 @@
 """Concrete finite groups: enumeration, cosets, shatter functions."""
 
+import itertools
 import random
+from math import comb, gcd
+from typing import List, Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szk import corpus, shatter
+from szk.core import PPFormula, Tor
 from szk.dsl import parse_formula, parse_group
 from szk.shatter import (FinAbGroup, SetFamily, coset_family,
                          from_description, shatter_function, shatter_rows,
                          subgroup_members, vc_dim)
+
+
+# Reference: the enumerating forms that the closed forms in szk.shatter
+# replaced.  They test every residue, add every member to every coset
+# representative and take every trace of every sample.
+
+def _component_allowed(order: int, formula: PPFormula) -> List[int]:
+    """Residues of Z(order) satisfying every atom."""
+    allowed = []
+    for x in range(order):
+        ok = True
+        for atom in formula.atoms:
+            if isinstance(atom, Tor):
+                if (atom.m * x) % order != 0:
+                    ok = False
+                    break
+            else:
+                g = gcd(atom.p ** atom.r, order)
+                if ((atom.p ** atom.s * x) % order) % g != 0:
+                    ok = False
+                    break
+        if ok:
+            allowed.append(x)
+    return allowed
+
+
+def ref_subgroup_members(g: FinAbGroup, formula: PPFormula) -> List[int]:
+    per_component = [_component_allowed(m, formula) for m in g.orders]
+    out = []
+    for combo in itertools.product(*per_component):
+        out.append(g.index_of(combo))
+    return sorted(out)
+
+
+def ref_coset_family(g: FinAbGroup, formulas: Sequence[PPFormula]) -> SetFamily:
+    sets: List[int] = []
+    for f in formulas:
+        members = ref_subgroup_members(g, f)
+        covered = set()
+        for a in range(g.size):
+            if a in covered:
+                continue
+            coset = [g.add(a, h) for h in members]
+            covered.update(coset)
+            mask = 0
+            for x in coset:
+                mask |= 1 << x
+            sets.append(mask)
+    return SetFamily(g.size, tuple(sets))
+
+
+def ref_shatter_function(s: SetFamily, n: int) -> int:
+    if n == 0:
+        return 1 if s.sets else 0
+    best = 0
+    for points in itertools.combinations(range(s.carrier_size), n):
+        mask = 0
+        for x in points:
+            mask |= 1 << x
+        traces = {c & mask for c in s.sets}
+        best = max(best, len(traces))
+        if best == 2 ** n:
+            break
+    return best
 
 
 class TestFinAbGroup:
@@ -149,3 +217,65 @@ class TestShatter:
         values = [pi for _, pi, _ in rows]
         assert values == sorted(values)
         assert all(pi <= len(fam.sets) for pi in values[1:])
+        # the index cosets partition g: n points meet at most n of them, and
+        # a missed coset adds the empty trace
+        index = len(fam.sets)
+        assert values[1:] == [min(n + 1, index) for n in range(1, top + 1)]
+
+    def test_refused_by_samples(self, monkeypatch):
+        # 6 pairs of points, each with at most min(4, 2) traces
+        fam = SetFamily(4, (0b0101, 0b1010))
+        monkeypatch.setattr(shatter, "SAMPLE_CAP", 12)
+        assert shatter_function(fam, 2) == 2
+        monkeypatch.setattr(shatter, "SAMPLE_CAP", 11)
+        with pytest.raises(ValueError,
+                           match=r"pi\(2\) needs 6 samples times 2 traces, cap is 11"):
+            shatter_function(fam, 2)
+
+
+def _random_formulas(rng: random.Random, primes=(2, 3), max_exp=2) -> List[PPFormula]:
+    return [PPFormula.top() if rng.random() < 0.2
+            else corpus.random_formula(rng, primes=primes, max_exp=max_exp)
+            for _ in range(rng.randint(1, 3))]
+
+
+class TestAgainstReference:
+    """The closed forms give the reference's lists, families (set order
+    included) and shatter values."""
+
+    @staticmethod
+    def _agree(g: FinAbGroup, formulas: Sequence[PPFormula]):
+        for f in formulas:
+            assert subgroup_members(g, f) == ref_subgroup_members(g, f)
+        fam = coset_family(g, formulas)
+        assert fam == ref_coset_family(g, formulas)
+        # the reference takes every sample: at most 2 * 10^4 of them per n
+        for n in range(min(4, g.size) + 1):
+            if comb(g.size, n) <= 2 * 10 ** 4:
+                assert shatter_function(fam, n) == ref_shatter_function(fam, n)
+
+    def test_corpus_groups(self):
+        rng = random.Random(20261018)
+        for _ in range(150):
+            g = from_description(corpus.random_finite_description(rng, size_cap=48))
+            self._agree(g, _random_formulas(rng))
+
+    @pytest.mark.parametrize("orders", [(6,), (12, 10), (9, 6), (2, 15), (30,)])
+    def test_orders_not_prime_powers(self, orders):
+        rng = random.Random(repr(orders))
+        g = FinAbGroup(orders)
+        for _ in range(8):
+            self._agree(g, _random_formulas(rng, primes=(2, 3, 5), max_exp=3))
+
+    def test_raw_families(self):
+        rng = random.Random(7)
+        families = [SetFamily(5, ()),
+                    SetFamily(10, tuple((1 << i) - 1 for i in range(11))),
+                    SetFamily(8, (0b1111, 0b1111, 0b11110000, 0b00111100))]
+        for _ in range(150):
+            size = rng.randint(1, 12)
+            families.append(SetFamily(size, tuple(
+                rng.getrandbits(size) for _ in range(rng.randint(0, 20)))))
+        for fam in families:
+            for n in range(min(4, fam.carrier_size) + 1):
+                assert shatter_function(fam, n) == ref_shatter_function(fam, n)
