@@ -87,10 +87,6 @@ def mult_add(a: Mult, b: Mult) -> Mult:
     return a + b
 
 
-def mult_sort_key(m: Mult) -> Tuple[int, int]:
-    return (1, 0) if is_omega(m) else (0, m)
-
-
 # Trial division decides every n below _TRIAL_MAX on its own; larger n go to
 # Miller-Rabin, whose prime bases 2..41 are exact below 3.317e24 (bases
 # 2..37 alone are fooled by 318665857834031151167461; Sorenson-Webster 2015),
@@ -365,6 +361,16 @@ class SzmielewDescription:
                 and self.q_mult == 0 and not self.cyclic_tail
                 and self.prime_tail is None)
 
+    @property
+    def bounded_exponent(self) -> bool:
+        """Cyclic blocks only: no Z_(p), Z(p^inf), Q, tail or all-primes shape."""
+        return (not self.tf and not self.div and self.q_mult == 0
+                and not self.cyclic_tail and self.prime_tail is None)
+
+    @property
+    def is_finite(self) -> bool:
+        return self.bounded_exponent and not any(is_omega(m) for _pn, m in self.cyclic)
+
     def primes(self) -> List[int]:
         """All primes explicitly mentioned, ascending."""
         ps = {p for (p, _n) in self.cyclic_dict()}
@@ -529,10 +535,6 @@ def check_atom(a: Atom) -> Optional[str]:
     if not (0 <= a.s < a.r):
         return "div(%d,%d,%d): requires 0 <= s < r" % (a.p, a.r, a.s)
     return None
-
-
-def validate_formula(f: PPFormula) -> List[str]:
-    return [msg for a in f.atoms for msg in [check_atom(a)] if msg is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from .core import (OMEGA, Div, Mult, PPFormula, PrimeTailShape,
                    SzmielewDescription, TailSpec, Tor, atom_sort_key,

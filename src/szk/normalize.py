@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple, Union
 
-from .core import (INFINITE, OMEGA, Mult, PrimeTailShape, SzmielewDescription,
-                   _Infinite, is_omega, make_description)
+from .core import (INFINITE, OMEGA, Mult, SzmielewDescription, _Infinite,
+                   is_omega, make_description)
 
 Value = Union[int, _Infinite]  # an exact cardinality p^k, or infinite
 
@@ -103,12 +103,9 @@ def invariants(desc: SzmielewDescription) -> InvariantReport:
             quotient_infinite=any_inf or is_omega(shape.tf_mult),
             torsion_infinite=any_inf or is_omega(shape.div_mult))
 
-    unbounded = (bool(tf) or bool(dv) or desc.q_mult != 0 or bool(tails)
-                 or desc.prime_tail is not None)
-    finite = (not unbounded and all(not is_omega(m) for m in cyc.values()))
     return InvariantReport(U, U_tail, D_lim, Tf_lim,
-                           bounded_exponent=not unbounded,
-                           finite_group=finite,
+                           bounded_exponent=desc.bounded_exponent,
+                           finite_group=desc.is_finite,
                            quotient_pA_infinite=quot,
                            torsion_p_infinite=tors,
                            defaults=defaults)

@@ -347,14 +347,9 @@ class SubgroupProfile:
     locals: tuple
 
 
-def eval_formula(desc: SzmielewDescription, formula: PPFormula,
-                 tail_bounds: Optional[Dict[int, int]] = None,
-                 extra_primes: Tuple[int, ...] = ()) -> SubgroupProfile:
-    req_bounds, req_extra = _formula_requirements(desc, [formula])
-    for p, t in (tail_bounds or {}).items():
-        req_bounds[p] = max(req_bounds.get(p, 0), t)
-    extras = tuple(sorted(set(req_extra) | set(extra_primes)))
-    blocks = materialize(desc, req_bounds, extras)
+def eval_formula(desc: SzmielewDescription, formula: PPFormula) -> SubgroupProfile:
+    bounds, extra = _formula_requirements(desc, [formula])
+    blocks = materialize(desc, bounds, extra)
     return SubgroupProfile(desc, formula, blocks, _locals(blocks, formula))
 
 

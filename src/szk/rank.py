@@ -8,26 +8,29 @@ error (CLI exit code 2), never a user error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .core import PPFormula, SzmielewDescription, div, is_omega, tor
+from .core import PPFormula, SzmielewDescription, div, tor
 from .normalize import (DerivedSets, _derived_sets, derived_sets_json,
                         normalize)
 
 
-def gap_count(ns: Iterable[int]) -> int:
-    """Size of a maximum subset with pairwise differences >= 2.
+def _gap_subset(ns: Iterable[int]) -> List[int]:
+    """A maximum subset with pairwise differences >= 2, ascending.
 
     Greedy ascending scan; optimal because taking the least available
     element never blocks more later choices than any alternative.
     """
-    count = 0
-    last = None
+    out: List[int] = []
     for n in sorted(set(ns)):
-        if last is None or n - last >= 2:
-            count += 1
-            last = n
-    return count
+        if not out or n - out[-1] >= 2:
+            out.append(n)
+    return out
+
+
+def gap_count(ns: Iterable[int]) -> int:
+    """Size of a maximum subset with pairwise differences >= 2."""
+    return len(_gap_subset(ns))
 
 
 @dataclass(frozen=True)
@@ -60,11 +63,6 @@ def _is_torsion_free(strict: SzmielewDescription) -> bool:
             and (shape is None or (not shape.cyclic_pattern and shape.div_mult == 0)))
 
 
-def _has_bounded_exponent(strict: SzmielewDescription) -> bool:
-    return (not strict.tf and not strict.div and strict.q_mult == 0
-            and not strict.cyclic_tail and strict.prime_tail is None)
-
-
 def _finite_dp(ds: DerivedSets) -> bool:
     return not (ds.tf_inf_infinite or ds.d_inf_infinite or ds.u_pairs_infinite
                 or ds.u_inf_at_infinite)
@@ -91,7 +89,7 @@ def _epsilons(strict: SzmielewDescription, ds: DerivedSets) -> Dict[str, int]:
     has_div = bool(strict.div) or (shape is not None and shape.div_mult != 0)
     return {
         "U": 1 if ds.u_inf else 0,
-        "Exp": 0 if _has_bounded_exponent(strict) else 1,
+        "Exp": 0 if strict.bounded_exponent else 1,
         "Tf": 1 if has_tf else 0,
         "D": 1 if has_div else 0,
     }
@@ -118,7 +116,7 @@ def _case_value(strict: SzmielewDescription, ds: DerivedSets
         return 4, gaps + len(ds.u_inf) + max(len(ds.tf_inf), len(ds.d_inf))
     if _is_torsion_free(strict):
         return 1, max(1, len(ds.tf_inf))
-    if _has_bounded_exponent(strict):
+    if strict.bounded_exponent:
         return 2, gaps
     return 3, gaps + max(1, len(ds.tf_inf), len(ds.d_inf))
 
@@ -148,15 +146,9 @@ def _seed_witnesses(ds: DerivedSets) -> Tuple[WitnessFamily, ...]:
             fams.append(tor(m if others else p))
         out.append(WitnessFamily("divisible-socles", tuple(fams)))
     for p in sorted(ds.u_inf_at):
-        ns = ds.u_inf_at[p]
-        if not ns:
+        exps = [n + 1 for n in _gap_subset(ds.u_inf_at[p])]
+        if not exps:
             continue
-        exps = []
-        last = None
-        for n in sorted(ns):
-            if last is None or n - last >= 2:
-                exps.append(n + 1)
-                last = n
         fams = tuple(div(p, e, e - i) for i, e in enumerate(exps, start=1))
         out.append(WitnessFamily("cyclic-gaps:%d" % p, fams))
     if ds.u_inf:
@@ -176,9 +168,7 @@ def dp_rank(desc: SzmielewDescription) -> RankReport:
     witnesses = _seed_witnesses(ds)
     strong = _strong(ds)
 
-    finite_group = (_has_bounded_exponent(strict)
-                    and all(not is_omega(m) for _pn, m in strict.cyclic))
-    if finite_group:
+    if strict.is_finite:
         return RankReport(0, strong, "finite-group", ds, eps, partition, witnesses)
     if not _finite_dp(ds):
         return RankReport(None, strong, "infinite", ds, eps, partition, witnesses)
@@ -225,8 +215,13 @@ def vc_density(desc: SzmielewDescription, ms: Iterable[int]) -> VcReport:
 # JSON
 
 
-def rank_json(r: RankReport) -> dict:
+def witnesses_json(ws: Iterable[WitnessFamily]) -> list:
     from .dsl import render_formula
+    return [{"tag": w.tag, "formulas": [render_formula(f) for f in w.formulas]}
+            for w in ws]
+
+
+def rank_json(r: RankReport) -> dict:
     return {
         "dp": "inf" if r.dp is None else r.dp,
         "strong": r.strong,
@@ -234,9 +229,7 @@ def rank_json(r: RankReport) -> dict:
         "epsilons": r.epsilons,
         "partition": {k: list(v) for k, v in r.partition.items()},
         "derived": derived_sets_json(r.derived),
-        "witness": [{"tag": w.tag,
-                     "formulas": [render_formula(f) for f in w.formulas]}
-                    for w in r.witnesses],
+        "witness": witnesses_json(r.witnesses),
     }
 
 

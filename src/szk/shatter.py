@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb, gcd, lcm, prod
 from typing import List, Sequence, Tuple
 
-from .core import PPFormula, SzmielewDescription, Tor, is_omega
+from .core import PPFormula, SzmielewDescription, Tor
 
 GROUP_CAP = 10 ** 6
 FAMILY_BITS_CAP = 10 ** 8       # cosets times carrier bits: 12.5 MB of masks
@@ -69,13 +69,10 @@ class FinAbGroup:
 
 def from_description(desc: SzmielewDescription) -> FinAbGroup:
     """Concrete carrier for a finite description (cyclic blocks only)."""
-    if (desc.tf or desc.div or desc.q_mult != 0 or desc.cyclic_tail
-            or desc.prime_tail is not None):
+    if not desc.is_finite:
         raise ValueError("description is not a finite group")
     orders: List[int] = []
     for (p, n), m in desc.cyclic:
-        if is_omega(m):
-            raise ValueError("description is not a finite group")
         orders.extend([p ** n] * m)
     return FinAbGroup(tuple(orders))
 
@@ -138,13 +135,12 @@ def coset_family(g: FinAbGroup, formulas: Sequence[PPFormula]) -> SetFamily:
     return SetFamily(g.size, tuple(sets))
 
 
-def shatter_function(s: SetFamily, n: int, subset_cap: int = SUBSET_CAP) -> int:
-    """pi(n): the maximum number of distinct traces on an n-point sample;
-    refused by its number of samples before any is taken."""
-    if n > subset_cap:
-        raise ValueError("sample size %d exceeds cap %d" % (n, subset_cap))
-    if n == 0:
-        return 1 if s.sets else 0
+def _check_sample(s: SetFamily, n: int) -> int:
+    """min(2^n, |sets|), the most traces an n-point sample can have; refused
+    past SUBSET_CAP points, past the carrier, or past SAMPLE_CAP samples
+    times traces."""
+    if n > SUBSET_CAP:
+        raise ValueError("sample size %d exceeds cap %d" % (n, SUBSET_CAP))
     if n > s.carrier_size:
         raise ValueError("sample larger than the carrier")
     samples = comb(s.carrier_size, n)
@@ -152,6 +148,15 @@ def shatter_function(s: SetFamily, n: int, subset_cap: int = SUBSET_CAP) -> int:
     if samples * most > SAMPLE_CAP:
         raise ValueError("pi(%d) needs %d samples times %d traces, cap is %d"
                          % (n, samples, most, SAMPLE_CAP))
+    return most
+
+
+def shatter_function(s: SetFamily, n: int) -> int:
+    """pi(n): the maximum number of distinct traces on an n-point sample;
+    refused by its number of samples before any is taken."""
+    most = _check_sample(s, n)
+    if n == 0:
+        return most
     columns = [0] * s.carrier_size
     for j, mask in enumerate(s.sets):
         digits = bin(mask)[:1:-1]        # digits[x] is bit x of the mask
@@ -185,11 +190,11 @@ def shatter_function(s: SetFamily, n: int, subset_cap: int = SUBSET_CAP) -> int:
     return best
 
 
-def vc_dim(s: SetFamily, subset_cap: int = SUBSET_CAP) -> int:
+def vc_dim(s: SetFamily) -> int:
     best = 0
     n = 1
-    while n <= min(s.carrier_size, subset_cap):
-        if shatter_function(s, n, subset_cap) == 2 ** n:
+    while n <= min(s.carrier_size, SUBSET_CAP):
+        if shatter_function(s, n) == 2 ** n:
             best = n
             n += 1
         else:
@@ -197,8 +202,9 @@ def vc_dim(s: SetFamily, subset_cap: int = SUBSET_CAP) -> int:
     return best
 
 
-def shatter_rows(s: SetFamily, max_n: int,
-                 subset_cap: int = SUBSET_CAP) -> List[Tuple[int, int, int]]:
-    """(n, pi(n), 2^n) rows for reporting."""
-    return [(n, shatter_function(s, n, subset_cap), 2 ** n)
-            for n in range(0, max_n + 1)]
+def shatter_rows(s: SetFamily, max_n: int) -> List[Tuple[int, int, int]]:
+    """(n, pi(n), 2^n) rows for reporting; refused before the first row is
+    computed when any row would be."""
+    for n in range(max_n + 1):
+        _check_sample(s, n)
+    return [(n, shatter_function(s, n), 2 ** n) for n in range(max_n + 1)]

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import szk
-from szk import shatter
+from szk import cli, shatter
 from szk.cli import main
 from tests.conftest import ROOT, run_szk, validate_payload
 
@@ -208,6 +208,36 @@ class TestJsonPayloads:
                            "--seed", "9")
         assert payload["disagreements"] == []
 
+    def test_shatter(self, capsys):
+        payload = run_json(capsys, "shatter", "shatter", "--orders", "4",
+                           "--formulas", "tor(2)", "--n", "2")
+        assert payload["rows"] == [{"n": 0, "pi": 1, "pow2": 1},
+                                   {"n": 1, "pi": 2, "pow2": 2},
+                                   {"n": 2, "pi": 2, "pow2": 4}]
+
+
+# one argument list per subcommand, and the schema of its --json payload
+JSON_CALLS = {
+    "normalize": ("normal_form", ["Q^3"]),
+    "equiv": ("equiv", ["Q", "Z_(2)"]),
+    "invariants": ("invariant_report", ["forall_p{Z(P^1)^w} + Z(2^2)"]),
+    "rank": ("rank_report", ["tail(2,w)"]),
+    "classify": ("classify", ["Z(2^1)^w"]),
+    "vc": ("vc_report", ["tail(2,w)", "--m", "2"]),
+    "eval": ("profile", ["Q^w", "div(2,1,0)"]),
+    "index": ("index", ["Z_(2)", "top", "div(2,1,0)"]),
+    "witness": ("witness", ["Q"]),
+    "breadth": ("breadth_result", ["Z_(2)", "--pool-bound", "1"]),
+    "shatter": ("shatter", ["--orders", "6", "--formulas", "top", "--n", "0"]),
+    "fuzz": ("fuzz", ["--count", "1"]),
+}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_every_subcommand_takes_json(capsys, command):
+    schema, argv = JSON_CALLS[command]
+    run_json(capsys, schema, command, *argv)
+
 
 # the names `szk` exported before its submodules loaded lazily, by home module
 PUBLIC_NAMES = {
@@ -332,6 +362,14 @@ class TestBoundedTime:
                         "--formulas", "tor(2)"], timeout=2)
         assert cold.code == 1 and cold.out == ""
         assert cold.err.startswith("error: pi(2) needs 49995000 samples ")
+        assert cold.err.count("\n") == 1
+
+    def test_shatter_table_refused_before_its_first_row(self):
+        # pi(0) to pi(2) pass the sample cap and take seconds; pi(3) does not
+        cold = run_szk(["shatter", "--orders", "1414"]
+                       + ["--formulas", "tor(2)"] * 32 + ["--n", "3"], timeout=1)
+        assert cold.code == 1 and cold.out == ""
+        assert cold.err.startswith("error: pi(3) needs 470191764 samples ")
         assert cold.err.count("\n") == 1
 
     def test_shatter_huge_exponent(self):

@@ -1,10 +1,12 @@
-"""Golden transcripts: `--json` CLI output and candidate pools, byte for byte.
+"""Golden transcripts: CLI output with and without `--json`, and candidate
+pools, byte for byte.
 
 The inputs cover every materialized block kind (cyc, tf, div, q, tail,
 ptail) with finite and omega multiplicities, finite and omega tails, and a
-pool-cap overflow.  A refactor of the evaluator or the oracle must leave
-both transcripts unchanged.  After an intended change of output, rewrite
-the files with
+pool-cap overflow; the text transcript adds every other subcommand and the
+input errors.  A refactor of the evaluator, the oracle or the CLI must
+leave all three transcripts unchanged.  After an intended change of output,
+rewrite the files with
 
     PYTHONPATH=src python -c "import tests.test_golden as g; g.write_golden()"
 """
@@ -83,17 +85,41 @@ def argvs():
         yield ["breadth", g, "--pool-bound", str(b), "--max-depth", str(k)]
 
 
-def cli_transcript() -> str:
+# the subcommands the --json transcript leaves out, and one-line input errors
+TEXT_ONLY = [
+    ["equiv", "Q", "Q^w"],
+    ["equiv", "Z(2^1)", "Z_(2)"],
+    ["vc", "Z(2^1)^w + Z(8)^w", "--m", "3"],
+    ["vc", "tail(2,w)", "--m", "3"],
+    ["shatter", "--orders", "4", "--formulas", "tor(2)", "--n", "2"],
+    ["shatter", "--orders", "8", "2", "--formulas", "tor(2)",
+     "--formulas", "div(2,2,1)", "--n", "3"],
+    ["fuzz", "--count", "5"],
+    ["rank", "Z(6)"],
+    ["vc", "Q", "--m", "0"],
+    ["breadth", "Q", "--pool-bound", "0"],
+    ["shatter", "--orders", "4", "--formulas", "tor(2)", "--n", "-1"],
+    ["shatter", "--orders", "4", "--formulas", "tor(2)", "--n", "5"],
+    ["shatter", "--orders", "1000", "1000", "--formulas", "tor(2)"],
+]
+
+
+def cli_transcript(flags=("--json",), extra=()) -> str:
     parts = []
-    for argv in argvs():
+    for argv in list(argvs()) + list(extra):
+        argv = list(flags) + argv
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["--json"] + argv)
-        parts.append("$ szk --json %s\nexit %d\n%s" % (shlex.join(argv), code,
-                                                       out.getvalue()))
+            code = main(argv)
+        parts.append("$ szk %s\nexit %d\n%s" % (shlex.join(argv), code,
+                                                out.getvalue()))
         if err.getvalue():
             parts.append("stderr: " + err.getvalue())
     return "".join(parts)
+
+
+def text_transcript() -> str:
+    return cli_transcript(flags=(), extra=TEXT_ONLY)
 
 
 def pool_transcript() -> str:
@@ -108,11 +134,17 @@ def pool_transcript() -> str:
 def write_golden() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     (GOLDEN_DIR / "cli_json.txt").write_text(cli_transcript())
+    # bytes, so that the CSV's \r\n line ends are kept as they are
+    (GOLDEN_DIR / "cli_text.txt").write_bytes(text_transcript().encode())
     (GOLDEN_DIR / "candidate_pool.txt").write_text(pool_transcript())
 
 
 def test_cli_json_transcript():
     assert cli_transcript() == (GOLDEN_DIR / "cli_json.txt").read_text()
+
+
+def test_cli_text_transcript():
+    assert text_transcript() == (GOLDEN_DIR / "cli_text.txt").read_bytes().decode()
 
 
 def test_candidate_pool_transcript():

@@ -232,6 +232,20 @@ class TestShatter:
                            match=r"pi\(2\) needs 6 samples times 2 traces, cap is 11"):
             shatter_function(fam, 2)
 
+    def test_table_refused_before_its_first_row(self, monkeypatch):
+        # pi(1) takes 4 points times 2 traces, pi(2) 6 pairs times 2
+        fam = SetFamily(4, (0b0101, 0b1010))
+        monkeypatch.setattr(shatter, "SAMPLE_CAP", 11)
+        computed = []
+        monkeypatch.setattr(shatter, "shatter_function",
+                            lambda *args: computed.append(args))
+        assert len(shatter_rows(fam, 1)) == 2 and len(computed) == 2
+        computed.clear()
+        with pytest.raises(ValueError,
+                           match=r"pi\(2\) needs 6 samples times 2 traces, cap is 11"):
+            shatter_rows(fam, 2)
+        assert computed == []
+
 
 def _random_formulas(rng: random.Random, primes=(2, 3), max_exp=2) -> List[PPFormula]:
     return [PPFormula.top() if rng.random() < 0.2
