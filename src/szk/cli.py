@@ -34,7 +34,7 @@ class Command(NamedTuple):
     text: Callable[[dict], str]
 
 
-GROUP = ("group", {})
+_GROUP = ("group", {})
 
 
 def _normalize(args) -> dict:
@@ -202,31 +202,31 @@ def _fuzz_text(p: dict) -> str:
 
 
 COMMANDS: Dict[str, Command] = {
-    "normalize": Command("strict normal form", (GROUP,), _normalize,
+    "normalize": Command("strict normal form", (_GROUP,), _normalize,
                          lambda p: p["normal_form"]),
     "equiv": Command("elementary equivalence", (("group1", {}), ("group2", {})),
                      _equiv,
                      lambda p: "equivalent" if p["equivalent"] else "not equivalent"),
-    "invariants": Command("Ulm-style invariant report", (GROUP,), _invariants,
+    "invariants": Command("Ulm-style invariant report", (_GROUP,), _invariants,
                           _invariants_text),
-    "rank": Command("dp-rank with case tag and witnesses", (GROUP,), _rank,
+    "rank": Command("dp-rank with case tag and witnesses", (_GROUP,), _rank,
                     _rank_text),
-    "classify": Command("strong / finite dp / dp-minimal", (GROUP,), _classify,
+    "classify": Command("strong / finite dp / dp-minimal", (_GROUP,), _classify,
                         lambda p: "strong: %s\nfinite dp-rank: %s\ndp-minimal: %s"
                         % (p["strong"], p["finite_dp"], p["dp_minimal"])),
     "vc": Command("vc-density values",
-                  (GROUP, ("--m", dict(type=int, default=1, help="largest argument"))),
+                  (_GROUP, ("--m", dict(type=int, default=1, help="largest argument"))),
                   _vc,
                   lambda p: "\n".join("vc(%d) = %s" % (v["m"], v["vc"])
                                       for v in p["values"])),
     "eval": Command("evaluate a formula to a subgroup profile",
-                    (GROUP, ("formula", {})), _eval, _eval_text),
+                    (_GROUP, ("formula", {})), _eval, _eval_text),
     "index": Command("index [phi : phi & psi]",
-                     (GROUP, ("formula1", {}), ("formula2", {})), _index,
+                     (_GROUP, ("formula1", {}), ("formula2", {})), _index,
                      lambda p: "%s" % _value(p["index"])),
-    "witness": Command("seed witness families", (GROUP,), _witness, _witness_text),
+    "witness": Command("seed witness families", (_GROUP,), _witness, _witness_text),
     "breadth": Command("exhaustive breadth search",
-                       (GROUP, ("--pool-bound", dict(type=int, default=4)),
+                       (_GROUP, ("--pool-bound", dict(type=int, default=4)),
                         ("--max-depth", dict(type=int, default=6))),
                        _breadth, _breadth_text),
     "shatter": Command("shatter function of coset families",

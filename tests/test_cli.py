@@ -125,6 +125,16 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: --n must be at least 0\n"
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_fuzz_disagreement(self, capsys, monkeypatch, flags):
+        monkeypatch.setattr(cli, "_fuzz_one", lambda desc: "disagreement")
+        code, out, _ = run(capsys, *flags, "fuzz", "--count", "2")
+        assert code == 2
+        if flags:
+            assert json.loads(out)["disagreements"] == ["disagreement"] * 2
+        else:
+            assert out == "disagreement\ndisagreement\n"
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
