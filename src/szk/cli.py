@@ -183,11 +183,16 @@ def _fuzz(args) -> dict:
     import random
 
     from . import corpus
+    if args.count < 0:
+        raise ValueError("--count must be at least 0")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     rng = random.Random(args.seed)
     descs = [corpus.random_description(rng) for _ in range(args.count)]
-    if args.jobs > 1:
+    jobs = min(args.jobs, args.count)    # never more workers than items
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_fuzz_one, descs))
     else:
         results = [_fuzz_one(d) for d in descs]

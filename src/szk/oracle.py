@@ -4,12 +4,13 @@ A family of p.p. subgroups witnesses depth k exactly when every
 leave-one-out intersection has infinite index over the full intersection.
 The search counts the canonical candidate pool and refuses it when it
 exceeds the cap, before anything is built.  It then builds only the pool's
-distinct profiles: tor(m) acts on each prime's blocks through the exponent
-of that prime in m alone, so the torsion profiles are the products of one
-class of exponents per prime, each represented by its least m, and the
-single div atoms follow, kept where their profile is new.  It explores
-families of those profiles depth-first with three prunings, all of which
-preserve exhaustiveness:
+distinct profiles, from per-prime columns: each tor(p^e) and div(p, r, s)
+is evaluated on p's blocks alone, the torsion profiles are the products of
+one class of equal columns per prime, each represented by its least m, and
+each new div column is the whole subgroup elsewhere.  Per block it reads
+the bitmask of the candidates holding each local from one code string.  It
+explores families of those profiles depth-first with three prunings, all
+of which preserve exhaustiveness:
 
   - a formula of finite index can never appear in a valid family;
   - validity is closed downward, so supersets of invalid families die;
@@ -22,10 +23,11 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (Div, Index, PoolOverflowError, PPFormula,
-                   SzmielewDescription, div, is_omega, is_prime, tor)
+                   SzmielewDescription, Tor, is_omega, is_prime, tor)
 from .normalize import normalize
 from .ppeval import (KINDS, Block, _formula_requirements, _index, _locals,
                      _meet_locals, index_json, materialize)
@@ -35,7 +37,11 @@ DEFAULT_MAX_POOL = 50000
 
 def _max_pool() -> int:
     raw = os.environ.get("SZK_MAX_POOL")
-    return int(raw) if raw else DEFAULT_MAX_POOL
+    if not raw:
+        return DEFAULT_MAX_POOL
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError("SZK_MAX_POOL must be a positive integer, got %r" % raw)
+    return int(raw)
 
 
 def _pool_primes(strict: SzmielewDescription) -> List[int]:
@@ -51,11 +57,6 @@ def _pool_primes(strict: SzmielewDescription) -> List[int]:
     if not primes:
         primes = [2]
     return primes
-
-
-def _search_key(f: PPFormula) -> int:
-    # divisibility candidates are tried first during the family search
-    return 0 if len(f.atoms) == 1 and isinstance(f.atoms[0], Div) else 1
 
 
 def _pool(desc: SzmielewDescription, B: int
@@ -76,56 +77,60 @@ def _pool(desc: SzmielewDescription, B: int
 
 
 def _profiles(primes: Sequence[int], B: int, blocks: Tuple[Block, ...]
-              ) -> Iterator[Tuple[PPFormula, tuple]]:
-    """Each distinct profile of the pool on blocks, with its representative.
+              ) -> Tuple[List[Tuple[Div, tuple]], List[Tuple[int, tuple]]]:
+    """The (div atom, key) pairs, then the (m, key) pairs of tor(m) by
+    ascending m, of the pool's distinct profiles on blocks.
 
     The pool is tor(m) for every m > 1 whose exponents over primes are at
     most B, by ascending m, then div(p, r, s) for 0 <= s < r <= B; the first
-    formula of a profile represents it.  A torsion profile is one class of
-    exponents per prime, grouped by the column of locals they give on that
-    prime's blocks.  Its least m takes each class's least exponent, or, when
-    that gives m = 1 (not in the pool), the second least at the one prime
-    where that is cheapest; with no second exponent anywhere it has no tor.
+    formula of a profile represents it.  Each atom is evaluated to a column
+    on its prime's blocks alone: tor(m) acts there through the exponent of p
+    in m, and div(p, r, s) is the whole subgroup elsewhere.  A torsion profile
+    is one class of exponents of equal columns per prime, arranged in block
+    order.  Its least m takes each class's least exponent, or, when that
+    gives m = 1 (not in the pool), the second least at the one prime where
+    that is cheapest; with no second exponent anywhere it has no tor.
     """
-    key = list(_locals(blocks, tor(1)))     # prime-less blocks stay as is
-    at: Dict[int, List[int]] = {p: [] for p in primes}
+    # the blocks of each prime, after the prime-less ones (at None)
+    at: Dict[Optional[int], List[int]] = {p: [] for p in [None, *primes]}
     for bi, (kind, data, _m) in enumerate(blocks):
-        if KINDS[kind].has_prime:
-            at[data[0]].append(bi)
-    classes = []
+        at[data[0] if KINDS[kind].has_prime else None].append(bi)
+
+    def column(bis: List[int], atom) -> tuple:
+        return tuple(KINDS[blocks[bi][0]].atom(blocks[bi][1], atom) for bi in bis)
+
+    # a flat tuple holds the prime-less locals, then each prime's column
+    order = [bi for bis in at.values() for bi in bis]
+    perm = sorted(range(len(order)), key=order.__getitem__)
+    arrange = itemgetter(*perm) if len(perm) > 1 else tuple
+    ms, flats, nexts = [1], [column(at[None], Tor(1))], []
     for p in primes:
-        sub = tuple(blocks[bi] for bi in at[p])
         by_column: Dict[tuple, List[int]] = {}
         for e in range(B + 1):
-            by_column.setdefault(_locals(sub, tor(p ** e)), []).append(e)
-        classes.append([(p, column, es) for column, es in by_column.items()])
-    tors = []
-    for choice in itertools.product(*classes):
-        m = 1
-        for p, _column, es in choice:
-            m *= p ** es[0]
-        if m == 1:      # tor(1) is not in the pool
-            nexts = [p ** es[1] for p, _column, es in choice if len(es) > 1]
-            if not nexts:
-                continue
-            m = min(nexts)
-        for p, column, _es in choice:
-            for bi, v in zip(at[p], column):
-                key[bi] = v
-        tors.append((m, tuple(key)))
-    tors.sort(key=lambda mk: mk[0])
-    seen = set()
-    for m, k in tors:
-        seen.add(k)
-        yield tor(m), k
+            by_column.setdefault(column(at[p], Tor(p ** e)), []).append(e)
+        classes = [(p ** es[0], col) for col, es in by_column.items()]
+        zero = next(iter(by_column.values()))       # the class of exponent 0
+        nexts += [p ** e for e in zero[1:2]]
+        ms = [m * pm for m in ms for pm, _col in classes]
+        flats = [f + col for f in flats for _pm, col in classes]
+    # the first product has every class of exponent 0, m = 1 until fixed up;
+    # no two m are equal, so the sort never compares keys
+    ms[0] = min(nexts, default=1)
+    tors = sorted(zip(ms, map(arrange, flats)))[not nexts:]
+    seen = {k for _m, k in tors}
+    whole = [KINDS[kind].whole for kind, _data, _m in blocks]
+    divs = []
     for p in primes:
-        for r in range(1, B + 1):
-            for s in range(r):
-                f = div(p, r, s)
-                k = _locals(blocks, f)
-                if k not in seen:
-                    seen.add(k)
-                    yield f, k
+        firsts: Dict[tuple, Div] = {}
+        for atom in [Div(p, r, s) for r in range(1, B + 1) for s in range(r)]:
+            firsts.setdefault(column(at[p], atom), atom)
+        for col, atom in firsts.items():
+            place = dict(zip(at[p], col))
+            key = tuple(place.get(bi, w) for bi, w in enumerate(whole))
+            if key not in seen:
+                seen.add(key)
+                divs.append((atom, key))
+    return divs, tors
 
 
 def candidate_pool(desc: SzmielewDescription, B: int) -> List[PPFormula]:
@@ -133,7 +138,9 @@ def candidate_pool(desc: SzmielewDescription, B: int) -> List[PPFormula]:
     if B < 1:
         raise ValueError("pool bound must be >= 1")
     primes, blocks = _pool(desc, B)
-    return [f for f, _key in _profiles(primes, B, blocks)]
+    divs, tors = _profiles(primes, B, blocks)
+    return ([tor(m) for m, _key in tors]
+            + [PPFormula.of(atom) for atom, _key in divs])
 
 
 def _leave_one_out(blocks: Tuple[Block, ...], locs: Sequence[tuple]
@@ -185,8 +192,9 @@ class BreadthResult:
 # a local in vals.  Each test reads the local of one block only, so
 # breadth_search runs occupies and loser once per distinct local: it keeps,
 # per block, the bitmask of the candidates holding each local, and solve
-# prunes its slot domains by and-ing such masks, before it forms any class
-# of candidates.  A class therefore lies wholly inside or outside a domain.
+# prunes its slot domains by and-ing such masks.  It then forms its classes
+# by splitting the live mask on the masks of its slot blocks, each class led
+# by its lowest bit, so a class lies wholly inside or outside a domain.
 
 
 def _tf_key(v):
@@ -315,13 +323,20 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
 
     # the pool's profiles, divisibility candidates first as the search tries
     # them; per block, each distinct local with the bitmask of the
-    # candidates holding it
-    cands = sorted(_profiles(primes, B, blocks),
-                   key=lambda fk: _search_key(fk[0]))
-    holders: List[Dict[object, int]] = [{} for _ in blocks]
-    for ci, (_f, key) in enumerate(cands):
-        for v, held in zip(key, holders):
-            held[v] = held.get(v, 0) | 1 << ci
+    # candidates holding it, read from one code string per block
+    divs, tors = _profiles(primes, B, blocks)
+    cands = divs + tors
+    keys = [key for _atom, key in cands]
+    holders: List[Dict[object, int]] = []
+    for col in zip(*keys):
+        held = dict.fromkeys(col)
+        codes = "".join(map(chr, range(len(held))))
+        # the last candidate first: bit ci of a mask is candidate ci
+        text = "".join(map(dict(zip(held, codes)).__getitem__, reversed(col)))
+        for j, v in enumerate(held):
+            bits = "0" * j + "1" + "0" * (len(codes) - j - 1)
+            held[v] = int(text.translate(str.maketrans(codes, bits)), 2)
+        holders.append(held)
 
     def holding(bi: int, test) -> int:
         # one block's masks are disjoint, so their sum is their union
@@ -341,7 +356,7 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
         for bi, mode in slots]
 
     def family_valid(idxs: List[int]) -> bool:
-        locs = [cands[i][1] for i in idxs]
+        locs = [keys[i] for i in idxs]
         return all(_index(blocks, rest, full).is_infinite
                    for rest, full in _leave_one_out(blocks, locs))
 
@@ -380,14 +395,13 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
         live = 0
         for d in masks:
             live |= d
-        classes: List[Tuple[int, tuple]] = []      # (candidate index, projection)
-        proj_seen = set()
-        for ci, (_f, key) in enumerate(cands):
-            if live >> ci & 1:
-                proj = tuple(key[bi] for bi in bis)
-                if proj not in proj_seen:
-                    proj_seen.add(proj)
-                    classes.append((ci, proj))
+        parts = [(live, ())]
+        for bi in bis:
+            parts = [(sub, proj + (v,)) for part, proj in parts
+                     for v, m in holders[bi].items() if (sub := part & m)]
+        # (candidate index, projection), each class led by its lowest bit
+        classes = sorted(((part & -part).bit_length() - 1, proj)
+                         for part, proj in parts)
         pos = {bi: k for k, bi in enumerate(bis)}
         at = [pos[bi] for bi, _mode in S]
         domains = [[c for c, (ci, _proj) in enumerate(classes) if d >> ci & 1]
@@ -443,7 +457,8 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
             break
         best = found
     capped = len(best) >= maxK and maxK < ub
-    witness = tuple(cands[i][0] for i in best)
+    witness = tuple(PPFormula.of(cands[i][0]) if i < len(divs)
+                    else tor(cands[i][0]) for i in best)
     return BreadthResult(len(best), witness, B, exhausted=not capped)
 
 

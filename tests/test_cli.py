@@ -135,6 +135,46 @@ class TestExitCodes:
         else:
             assert out == "disagreement\ndisagreement\n"
 
+    @pytest.mark.parametrize("argv,err", [
+        (["--count", "-3"], "error: --count must be at least 0\n"),
+        (["--jobs", "0"], "error: --jobs must be at least 1\n"),
+        (["--jobs", "-2"], "error: --jobs must be at least 1\n"),
+    ], ids=["count", "jobs-zero", "jobs-negative"])
+    def test_fuzz_bad_arguments(self, argv, err):
+        cold = run_szk(["--json", "fuzz"] + argv, timeout=10)
+        assert (cold.code, cold.out, cold.err) == (1, "", err)
+
+    @pytest.mark.parametrize("count,jobs,workers", [(2, 2, 2), (2, 64, 2),
+                                                    (1, 64, None)])
+    def test_fuzz_workers_capped_by_items(self, capsys, monkeypatch,
+                                          count, jobs, workers):
+        import concurrent.futures
+        started = []
+
+        def threads(max_workers):
+            started.append(max_workers)
+            return concurrent.futures.ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", threads)
+        code, out, _ = run(capsys, "fuzz", "--count", str(count),
+                           "--jobs", str(jobs))
+        assert code == 0
+        assert started == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("count,jobs", [(2, 2), (1, 8)])
+    def test_fuzz_jobs_cold(self, count, jobs):
+        # two worker processes at most: --jobs beyond --count is cut to it
+        cold = run_szk(["fuzz", "--count", str(count), "--seed", "5",
+                        "--jobs", str(jobs)], timeout=60)
+        assert cold.code == 0, cold.err
+        assert cold.out == "%d descriptions checked, zero disagreements\n" % count
+
+    def test_bad_pool_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("SZK_MAX_POOL", "abc")
+        code, out, err = run(capsys, "breadth", "Q")
+        assert (code, out) == (1, "")
+        assert err == "error: SZK_MAX_POOL must be a positive integer, got 'abc'\n"
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
         capsys.readouterr()

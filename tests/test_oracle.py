@@ -7,8 +7,9 @@ import time
 import pytest
 
 from szk import corpus, oracle
-from szk.core import PPFormula, div, is_omega, tor
+from szk.core import Div, PPFormula, div, is_omega, tor
 from szk.dsl import parse_formula, parse_group, render_formula
+from szk.normalize import normalize
 from szk.oracle import (PoolOverflowError, breadth_search, candidate_pool,
                         verify_inp)
 from szk.ppeval import KINDS, _index, _locals
@@ -56,9 +57,10 @@ def reference_breadth_search(desc, B, maxK):
     primes, blocks = oracle._pool(desc, B)
     blocks = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
     whole = _locals(blocks, PPFormula.top())
-    cands = [(f, key) for f, key in oracle._profiles(primes, B, blocks)
+    cands = [(f, key) for f, key in brute_force_profiles(primes, B, blocks)
              if _index(blocks, whole, key).is_infinite]
-    cands.sort(key=lambda fk: oracle._search_key(fk[0]))
+    # divisibility candidates are tried first
+    cands.sort(key=lambda fk: not isinstance(fk[0].atoms[0], Div))
     ub = min(oracle._slot_bound(blocks), len(cands))
     target = min(maxK, ub)
     slots = oracle._slots_of(blocks)
@@ -166,6 +168,16 @@ HAND_PICKED = [
     "Z(2^1)^w + Z(8)^w + tail(3)",
 ]
 
+# edge shapes of the per-prime pool and of the class split in solve
+EDGE = {
+    "no-slot-cyc": "Z(2^3)",
+    "no-slot-two-primes": "Z(2^1)^3 + Z(3^2)",
+    "one-slot-q": "Q",
+    "one-slot-tf": "Z_(2)",
+    "prime-tail-only": "forall_p{Z_(P)}",
+    "m1-fixup": "Z_(2)^w + Z_(3)^w",
+}
+
 
 class TestCandidatePool:
     def test_rejects_bad_bound(self):
@@ -190,6 +202,14 @@ class TestCandidatePool:
         with pytest.raises(PoolOverflowError):
             candidate_pool(parse_group("Z(2^inf)^w + Z(3^inf)^w"), 4)
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-5", "1.5", "2e3"])
+    def test_bad_cap(self, monkeypatch, raw):
+        monkeypatch.setenv("SZK_MAX_POOL", raw)
+        with pytest.raises(ValueError) as info:
+            candidate_pool(parse_group("Q"), 1)
+        assert str(info.value) == (
+            "SZK_MAX_POOL must be a positive integer, got %r" % raw)
+
     def test_overflow_checked_before_enumeration(self):
         # about 5e9 div atoms: only an arithmetic count can refuse it in time
         start = time.perf_counter()
@@ -204,7 +224,7 @@ class TestProfileSpacePool:
     def groups(self):
         rng = random.Random(2024)
         descs = [corpus.random_description(rng) for _ in range(60)]
-        return descs + [parse_group(t) for t in HAND_PICKED]
+        return descs + [parse_group(t) for t in HAND_PICKED + list(EDGE.values())]
 
     def test_matches_brute_force(self):
         checked = 0
@@ -214,7 +234,9 @@ class TestProfileSpacePool:
                 # candidate_pool's blocks, and breadth_search's slotted ones
                 slotted = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
                 for bl in (blocks, slotted):
-                    got = list(oracle._profiles(primes, B, bl))
+                    divs, tors = oracle._profiles(primes, B, bl)
+                    got = ([(tor(m), key) for m, key in tors]
+                           + [(PPFormula.of(a), key) for a, key in divs])
                     assert got == brute_force_profiles(primes, B, bl), (
                         desc, B)
                     checked += 1
@@ -373,6 +395,25 @@ class TestSearchMatchesReference:
         for _ in range(60):
             desc = corpus.random_description(rng)
             self.check(desc, desc.max_exponent() + 2, dp_rank(desc).dp + 1)
+
+    def test_four_pool_primes_at_b0(self):
+        # three listed primes and a prime tail: the slowest stratum of fuzz
+        rng = random.Random(9090)
+        checked = 0
+        while checked < 40:
+            desc = corpus.random_description(rng)
+            strict = normalize(desc)
+            if len(strict.primes()) == 3 and strict.prime_tail is not None:
+                assert len(oracle._pool_primes(strict)) == 4
+                self.check(desc, strict.max_exponent() + 2,
+                           dp_rank(desc).dp + 1)
+                checked += 1
+
+    @pytest.mark.parametrize("text", EDGE.values(), ids=EDGE.keys())
+    def test_edge_shapes(self, text):
+        for B in (1, 2, 4):
+            for maxK in (1, 3):
+                self.check(parse_group(text), B, maxK)
 
     @pytest.mark.parametrize("text,B,maxK", DEEP_RUNGS,
                              ids=["tail2-14", "tail2-16", "tail23-8", "g10-3"])
