@@ -179,7 +179,11 @@ def _fuzz_one(seed_desc) -> Optional[str]:
     return None
 
 
+_FUZZ_WINDOW = 256    # descriptions submitted to the worker pool at once
+
+
 def _fuzz(args) -> dict:
+    import itertools
     import random
 
     from . import corpus
@@ -188,16 +192,19 @@ def _fuzz(args) -> dict:
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
     rng = random.Random(args.seed)
-    descs = [corpus.random_description(rng) for _ in range(args.count)]
+    descs = (corpus.random_description(rng) for _ in range(args.count))
     jobs = min(args.jobs, args.count)    # never more workers than items
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_fuzz_one, descs))
+            # one window at a time, so that memory does not grow with --count
+            windows = iter(lambda: list(itertools.islice(descs, _FUZZ_WINDOW)), [])
+            disagreements = [r for window in windows
+                             for r in pool.map(_fuzz_one, window) if r is not None]
     else:
-        results = [_fuzz_one(d) for d in descs]
+        disagreements = [r for r in map(_fuzz_one, descs) if r is not None]
     return {"count": args.count, "seed": args.seed,
-            "disagreements": [r for r in results if r is not None]}
+            "disagreements": disagreements}
 
 
 def _fuzz_text(p: dict) -> str:

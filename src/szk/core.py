@@ -409,51 +409,56 @@ def make_description(cyclic: Optional[Dict[Tuple[int, int], Mult]] = None,
     return SzmielewDescription(cyc, tf_t, div_t, q_mult, tail_t, prime_tail)
 
 
-def direct_sum(a: SzmielewDescription, b: SzmielewDescription) -> SzmielewDescription:
-    """The direct sum of two descriptions, multiplicities added exactly.
+def direct_sum(*descs: SzmielewDescription) -> SzmielewDescription:
+    """The direct sum of any number of descriptions, multiplicities added
+    exactly, built once.
 
-    Tails at a common prime are merged at the larger cutoff; blocks of the
-    lower tail that fall below the new cutoff become explicit cyclic entries.
+    All tails at a prime merge into one at the largest cutoff there, raised
+    to the largest explicit exponent at that prime; each tail's blocks that
+    fall below the merged cutoff become explicit cyclic entries.
     """
-    if a.prime_tail is not None and b.prime_tail is not None:
-        pa, pb = a.prime_tail, b.prime_tail
-        pat = pa.pattern_dict()
-        for n, m in pb.pattern_dict().items():
-            pat[n] = mult_add(pat.get(n, 0), m)
-        prime_tail: Optional[PrimeTailShape] = make_prime_tail(
-            pat, mult_add(pa.tf_mult, pb.tf_mult), mult_add(pa.div_mult, pb.div_mult))
-    else:
-        prime_tail = a.prime_tail or b.prime_tail
+    cyclic: Dict[Tuple[int, int], Mult] = {}
+    tf: Dict[int, Mult] = {}
+    div: Dict[int, Mult] = {}
+    q_mult: Mult = 0
+    tails: Dict[int, List[TailSpec]] = {}
+    shapes: List[PrimeTailShape] = []
+    for d in descs:
+        for field, pairs in ((cyclic, d.cyclic), (tf, d.tf), (div, d.div)):
+            for k, m in pairs:
+                field[k] = mult_add(field.get(k, 0), m)
+        q_mult = mult_add(q_mult, d.q_mult)
+        for p, spec in d.cyclic_tail:
+            tails.setdefault(p, []).append(spec)
+        if d.prime_tail is not None:
+            shapes.append(d.prime_tail)
 
-    cyclic = a.cyclic_dict()
-    for pn, m in b.cyclic_dict().items():
-        cyclic[pn] = mult_add(cyclic.get(pn, 0), m)
-    tf = a.tf_dict()
-    for p, m in b.tf_dict().items():
-        tf[p] = mult_add(tf.get(p, 0), m)
-    div = a.div_dict()
-    for p, m in b.div_dict().items():
-        div[p] = mult_add(div.get(p, 0), m)
-
-    tails: Dict[int, TailSpec] = {}
-    all_tail_primes = set(a.tail_dict()) | set(b.tail_dict())
-    for p in all_tail_primes:
-        sa = a.tail_dict().get(p)
-        sb = b.tail_dict().get(p)
-        max_exp = max([n for (q, n) in cyclic if q == p], default=0)
-        cut = max([s.cutoff for s in (sa, sb) if s is not None] + [max_exp])
+    top: Dict[int, int] = {}
+    for p, n in cyclic:
+        top[p] = max(top.get(p, 0), n)
+    merged: Dict[int, TailSpec] = {}
+    for p, specs in tails.items():
+        cut = max([s.cutoff for s in specs] + [top.get(p, 0)])
         total: Mult = 0
-        for spec in (sa, sb):
-            if spec is None:
-                continue
+        for spec in specs:
             # explicit blocks for the stretch the raised cutoff now covers
             for n in range(spec.cutoff + 1, cut + 1):
                 cyclic[(p, n)] = mult_add(cyclic.get((p, n), 0), spec.mult)
             total = mult_add(total, spec.mult)
-        tails[p] = TailSpec(cut, total)
+        merged[p] = TailSpec(cut, total)
 
-    return make_description(cyclic, tf, div, mult_add(a.q_mult, b.q_mult),
-                            tails, prime_tail)
+    prime_tail = shapes[0] if shapes else None
+    if len(shapes) > 1:
+        pat: Dict[int, Mult] = {}
+        tf_m: Mult = 0
+        div_m: Mult = 0
+        for shape in shapes:
+            for n, m in shape.cyclic_pattern:
+                pat[n] = mult_add(pat.get(n, 0), m)
+            tf_m = mult_add(tf_m, shape.tf_mult)
+            div_m = mult_add(div_m, shape.div_mult)
+        prime_tail = make_prime_tail(pat, tf_m, div_m)
+    return make_description(cyclic, tf, div, q_mult, merged, prime_tail)
 
 
 # ---------------------------------------------------------------------------

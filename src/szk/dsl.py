@@ -11,10 +11,15 @@ Grammar (whitespace insensitive, ASCII):
     mult     := nat | "w"
     formula  := "top" | fatom ("&" fatom)*
     fatom    := "tor(" nat ")" | "div(" prime "," nat "," nat ")"
+
+A token is a plain string, read from one ``findall`` of ``_TOKEN_RE``; the
+parser keeps token indices, and builds a ``SourceSpan`` only for a
+``ParseError``, by scanning the text again with the same pattern.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
@@ -41,37 +46,30 @@ class ParseError(ValueError):
         self.span = span
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([(){}^+,=&]))")
+# One token after optional whitespace: a number (the only token that
+# str.isdecimal accepts), a name, or one punctuation mark.
+_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|[(){}^+,=&])")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num", "name", "punct", "eof"
-    text: str
-    span: SourceSpan
+def _tokenize(text: str) -> List[str]:
+    """The tokens of ``text``, then ``""`` for the end of input."""
+    toks = _TOKEN_RE.findall(text)
+    # findall skips what no token starts with: the tokens must cover every
+    # non-whitespace character
+    if len("".join(toks)) != len("".join(text.split())):
+        pos = 0
+        while (m := _TOKEN_RE.match(text, pos)) is not None:
+            pos = m.end()
+        at = len(text) - len(text[pos:].lstrip())
+        raise ParseError("unexpected character %r" % text[at], SourceSpan(at, at + 1))
+    toks.append("")
+    return toks
 
 
-def _tokenize(text: str) -> List[_Token]:
-    out: List[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            at = len(text) - len(rest)
-            raise ParseError("unexpected character %r" % rest[0], SourceSpan(at, at + 1))
-        pos = m.end()
-        span = SourceSpan(m.start(1) if m.group(1) else m.start(2) if m.group(2) else m.start(3), pos)
-        if m.group(1):
-            out.append(_Token("num", m.group(1), span))
-        elif m.group(2):
-            out.append(_Token("name", m.group(2), span))
-        else:
-            out.append(_Token("punct", m.group(3), span))
-    out.append(_Token("eof", "", SourceSpan(len(text), len(text))))
-    return out
+def _span(text: str, i: int) -> SourceSpan:
+    """The span of token ``i`` of ``text``; the end of input past its last."""
+    m = next(itertools.islice(_TOKEN_RE.finditer(text), i, None), None)
+    return SourceSpan(len(text), len(text)) if m is None else SourceSpan(m.start(1), m.end())
 
 
 class _Parser:
@@ -80,47 +78,46 @@ class _Parser:
         self.toks = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.toks[self.i]
 
-    def next(self) -> _Token:
+    def next(self) -> str:
         t = self.toks[self.i]
         self.i += 1
         return t
 
-    def fail(self, message: str, tok: Optional[_Token] = None):
-        raise ParseError(message, (tok or self.peek()).span)
+    def fail(self, message: str, at: Optional[int] = None):
+        """Raise at token index ``at``, by default the current token."""
+        raise ParseError(message, _span(self.text, self.i if at is None else at))
 
-    def expect(self, text: str) -> _Token:
-        t = self.peek()
-        if t.text != text:
+    def expect(self, text: str) -> str:
+        if self.peek() != text:
             self.fail("expected %r" % text)
         return self.next()
 
     def nat(self) -> int:
-        t = self.peek()
-        if t.kind != "num":
+        if not self.peek().isdecimal():
             self.fail("expected a number")
-        return int(self.next().text)
+        return int(self.next())
 
     def prime(self) -> int:
-        t = self.peek()
+        at = self.i
         n = self.nat()
         if not is_prime(n):
-            self.fail("%d is not prime" % n, t)
+            self.fail("%d is not prime" % n, at)
         return n
 
     def mult(self) -> Mult:
         t = self.peek()
-        if t.text == "w":
+        if t == "w":
             self.next()
             return OMEGA
-        if t.kind == "num":
+        if t.isdecimal():
             return self.nat()
         self.fail("expected a multiplicity (number or w)")
 
     def opt_mult(self) -> Mult:
-        if self.peek().text == "^":
+        if self.peek() == "^":
             self.next()
             return self.mult()
         return 1
@@ -128,64 +125,65 @@ class _Parser:
     # -- groups -------------------------------------------------------------
 
     def group(self) -> SzmielewDescription:
-        if self.peek().text == "0":
+        if self.peek() == "0":
             self.next()
             self.end()
             return make_description()
-        desc = self.term()
-        while self.peek().text == "+":
+        terms = [self.term()]
+        while self.peek() == "+":
             self.next()
-            desc = direct_sum(desc, self.term())
+            terms.append(self.term())
         self.end()
-        return desc
+        return direct_sum(*terms)
 
     def term(self) -> SzmielewDescription:
+        at = self.i
         t = self.peek()
-        if t.text == "Q":
+        if t == "Q":
             self.next()
             return make_description(q_mult=self.opt_mult())
-        if t.text == "Z_":
+        if t == "Z_":
             self.next()
             self.expect("(")
             p = self.prime()
             self.expect(")")
             return make_description(tf={p: self.opt_mult()})
-        if t.text == "Z":
+        if t == "Z":
             self.next()
             self.expect("(")
-            if self.toks[self.i + 1].text == ")":
+            if self.peek() and self.toks[self.i + 1] == ")":
                 # shorthand Z(q) for a cyclic group of prime-power order q
-                qtok = self.peek()
+                at = self.i
                 q = self.nat()
                 self.expect(")")
                 fac = prime_factors(q) if q > 1 else {}
                 if len(fac) != 1:
-                    self.fail("%d is not a prime power" % q, qtok)
+                    self.fail("%d is not a prime power" % q, at)
                 ((p, n),) = fac.items()
                 return make_description(cyclic={(p, n): self.opt_mult()})
             p = self.prime()
             self.expect("^")
-            if self.peek().text == "inf":
+            if self.peek() == "inf":
                 self.next()
                 self.expect(")")
                 return make_description(div={p: self.opt_mult()})
-            ntok = self.peek()
+            at = self.i
             n = self.nat()
             if n < 1:
-                self.fail("exponent must be >= 1", ntok)
+                self.fail("exponent must be >= 1", at)
             self.expect(")")
             return make_description(cyclic={(p, n): self.opt_mult()})
-        if t.text == "tail":
+        if t == "tail":
             self.next()
             self.expect("(")
             p = self.prime()
             m: Mult = 1
             cutoff = 0
-            if self.peek().text == ",":
+            if self.peek() == ",":
                 self.next()
-                if self.peek().text != "cutoff":
+                if self.peek() != "cutoff":
                     m = self.mult()
-                    if self.peek().text == ",":
+                    if self.peek() == ",":
                         self.next()
                         self.expect("cutoff")
                         self.expect("=")
@@ -195,10 +193,10 @@ class _Parser:
                     self.expect("=")
                     cutoff = self.nat()
             if m == 0:
-                self.fail("tail multiplicity must be >= 1", t)
+                self.fail("tail multiplicity must be >= 1", at)
             self.expect(")")
             return make_description(cyclic_tail={p: TailSpec(cutoff, m)})
-        if t.text == "forall_p":
+        if t == "forall_p":
             self.next()
             self.expect("{")
             shape = self.shape()
@@ -212,31 +210,31 @@ class _Parser:
         div_m: Mult = 0
         while True:
             t = self.peek()
-            if t.text == "Z_":
+            if t == "Z_":
                 self.next()
                 self.expect("(")
                 self.expect("P")
                 self.expect(")")
                 tf_m = mult_add(tf_m, self.opt_mult())
-            elif t.text == "Z":
+            elif t == "Z":
                 self.next()
                 self.expect("(")
                 self.expect("P")
                 self.expect("^")
-                if self.peek().text == "inf":
+                if self.peek() == "inf":
                     self.next()
                     self.expect(")")
                     div_m = mult_add(div_m, self.opt_mult())
                 else:
-                    ntok = self.peek()
+                    at = self.i
                     n = self.nat()
                     if n < 1:
-                        self.fail("exponent must be >= 1", ntok)
+                        self.fail("exponent must be >= 1", at)
                     self.expect(")")
                     pattern[n] = mult_add(pattern.get(n, 0), self.opt_mult())
             else:
                 self.fail("expected Z(P^n), Z(P^inf) or Z_(P) inside forall_p{}")
-            if self.peek().text != "+":
+            if self.peek() != "+":
                 break
             self.next()
         return make_prime_tail(pattern, tf_m, div_m)
@@ -244,12 +242,12 @@ class _Parser:
     # -- formulas -----------------------------------------------------------
 
     def formula(self) -> PPFormula:
-        if self.peek().text == "top":
+        if self.peek() == "top":
             self.next()
             self.end()
             return PPFormula.top()
         atoms = [self.fatom()]
-        while self.peek().text == "&":
+        while self.peek() == "&":
             self.next()
             atoms.append(self.fatom())
         self.end()
@@ -257,36 +255,36 @@ class _Parser:
 
     def fatom(self):
         t = self.peek()
-        if t.text == "tor":
+        if t == "tor":
             self.next()
             self.expect("(")
-            mtok = self.peek()
+            at = self.i
             m = self.nat()
             self.expect(")")
             a = Tor(m)
             msg = check_atom(a)
             if msg:
-                self.fail(msg, mtok)
+                self.fail(msg, at)
             return a
-        if t.text == "div":
+        if t == "div":
             self.next()
             self.expect("(")
             p = self.prime()
             self.expect(",")
             r = self.nat()
             self.expect(",")
-            stok = self.peek()
+            at = self.i
             s = self.nat()
             self.expect(")")
             a = Div(p, r, s)
             msg = check_atom(a)
             if msg:
-                self.fail(msg, stok)
+                self.fail(msg, at)
             return a
         self.fail("expected tor(...) or div(...)")
 
     def end(self):
-        if self.peek().kind != "eof":
+        if self.peek():
             self.fail("trailing input")
 
 

@@ -14,6 +14,9 @@ import pytest
 import szk
 from szk import cli, shatter
 from szk.cli import main
+from szk.core import is_prime
+from szk.dsl import parse_formula, parse_group, render_group
+from szk.normalize import normalize
 from tests.conftest import ROOT, run_szk, validate_payload
 
 
@@ -168,6 +171,69 @@ class TestExitCodes:
                         "--jobs", str(jobs)], timeout=60)
         assert cold.code == 0, cold.err
         assert cold.out == "%d descriptions checked, zero disagreements\n" % count
+
+    def test_fuzz_memory_does_not_grow_with_count(self, capsys, monkeypatch):
+        import tracemalloc
+
+        from szk import corpus
+        # a stand-in draw that takes the rng's next value and holds about
+        # 600 bytes: 100,000 of them held at once would take about 60 MB
+        monkeypatch.setattr(corpus, "random_description",
+                            lambda rng: [rng.random()] * 64)
+        monkeypatch.setattr(cli, "_fuzz_one", lambda desc: None)
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "fuzz", "--count", "100000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (0, "100000 descriptions checked, zero disagreements\n")
+        assert peak < 5 * 10 ** 6
+
+    def test_fuzz_submits_one_window_at_a_time(self, capsys, monkeypatch):
+        import concurrent.futures
+        import random
+
+        from szk import corpus
+        held = []    # items submitted and not yet returned, at each submission
+
+        class Recording:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+                self.pending = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                self.pending += len(items)
+                held.append(self.pending)
+                return self.results(fn, items)
+
+            def results(self, fn, items):
+                for item in items:
+                    self.pending -= 1
+                    yield fn(item)
+
+        def check(desc):
+            return render_group(desc) if len(desc.cyclic) == 2 else None
+
+        count = 2 * cli._FUZZ_WINDOW + 5
+        rng = random.Random(9)
+        expected = [check(corpus.random_description(rng)) for _ in range(count)]
+        expected = [r for r in expected if r is not None]
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(cli, "_fuzz_one", check)
+        outs = [run(capsys, "--json", "fuzz", "--count", str(count), "--seed", "9",
+                    "--jobs", str(jobs)) for jobs in (1, 2)]
+        assert held == [cli._FUZZ_WINDOW, cli._FUZZ_WINDOW, 5]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 2 and 0 < len(expected) < count
+        assert json.loads(outs[0][1])["disagreements"] == expected
 
     def test_bad_pool_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("SZK_MAX_POOL", "abc")
@@ -428,6 +494,37 @@ class TestBoundedTime:
                         "div(2,100000000,0)", "--n", "2"], timeout=2)
         assert cold.code == 0, cold.err
         assert cold.out.splitlines() == ["n,pi,pow2", "0,1,1", "1,2,2", "2,3,4"]
+
+    @staticmethod
+    def long_group(terms):
+        """A sum of ``terms`` terms, each at its own prime, of four kinds."""
+        primes = [p for p in range(2, 20 * terms) if is_prime(p)][:terms]
+        kinds = ["Z(%d^2)", "Z_(%d)", "Z(%d^inf)^w", "tail(%d,cutoff=1)"]
+        return " + ".join(kinds[i % 4] % p for i, p in enumerate(primes))
+
+    def test_long_group(self):
+        # the terms are summed once: a pairwise fold over them is quadratic
+        text = self.long_group(4000)
+        t0 = time.perf_counter()
+        desc = parse_group(text)
+        assert time.perf_counter() - t0 < 0.5
+        assert (len(desc.cyclic), len(desc.tf), len(desc.div),
+                len(desc.cyclic_tail)) == (1000, 1000, 1000, 1000)
+
+    def test_long_formula(self):
+        text = " & ".join("tor(%d)" % n if n % 2 else "div(%d,%d,0)" % (p, n)
+                          for p in (2, 3, 5, 7) for n in range(1, 5001))
+        t0 = time.perf_counter()
+        formula = parse_formula(text)
+        assert time.perf_counter() - t0 < 0.5
+        assert len(formula.atoms) == 20000
+
+    def test_long_group_cold(self):
+        text = self.long_group(4000)
+        cold = run_szk(["--json", "normalize", text], timeout=2)
+        assert cold.code == 0, cold.err
+        assert json.loads(cold.out) == {
+            "normal_form": render_group(normalize(parse_group(text)))}
 
     def test_beyond_exact_primality(self):
         cold = run_szk(["rank", "Z(%d^1)" % (33 * 10 ** 23)], timeout=10)

@@ -1,14 +1,18 @@
 """Value types: multiplicities, factored indices, descriptions, formulas."""
 
+import functools
 import random
 import sys
+from typing import Dict, Optional
 
 import pytest
 
-from szk.core import (INFINITE, OMEGA, Div, Index, PPFormula, TailSpec, Tor,
-                      check_atom, direct_sum, div, is_omega, is_prime,
-                      make_description, make_prime_tail, mult_add,
-                      p_adic_valuation, prime_factors, tor, validate)
+from szk import corpus
+from szk.core import (INFINITE, OMEGA, Div, Index, PPFormula, PrimeTailShape,
+                      SzmielewDescription, TailSpec, Tor, check_atom,
+                      direct_sum, div, is_omega, is_prime, make_description,
+                      make_prime_tail, mult_add, p_adic_valuation,
+                      prime_factors, tor, validate)
 
 
 class TestOmega:
@@ -181,6 +185,41 @@ class TestDirectSum:
         assert s.prime_tail.div_mult is OMEGA
 
 
+class TestDirectSumMatchesPairwiseFold:
+    """The n-ary sum against a left fold of the two-argument sum it replaced."""
+
+    def test_seeded_sums(self):
+        rng = random.Random(20261018)
+        # a zero-multiplicity block above a tail at the same prime: the fold
+        # drops it in its own summand, before it can raise the tail's cutoff
+        specials = [make_description(cyclic={(2, 5): 0}),
+                    make_description(cyclic_tail={2: TailSpec(1, 1)}),
+                    make_description(cyclic={(2, 4): 1, (3, 2): OMEGA}),
+                    make_description(cyclic_tail={2: TailSpec(3, OMEGA)}),
+                    make_description(prime_tail=make_prime_tail({1: 1}, tf_mult=1))]
+        sums = 0
+        for _ in range(2500):
+            descs = [rng.choice(specials) if rng.random() < 0.2
+                     else corpus.random_description(rng, finite_dp_only=rng.random() < 0.5)
+                     for _ in range(rng.randint(2, 5))]
+            assert direct_sum(*descs) == functools.reduce(pairwise_sum, descs), descs
+            sums += 1
+        assert sums >= 2000
+
+    def test_zero_term_beside_a_tail(self):
+        zero, tail = make_description(cyclic={(2, 5): 0}), make_description(
+            cyclic_tail={2: TailSpec(1, 1)})
+        for descs in ([zero, tail], [tail, zero], [tail, zero, tail]):
+            s = direct_sum(*descs)
+            assert s == functools.reduce(pairwise_sum, descs)
+            assert s.tail_dict()[2].cutoff == 1
+
+    def test_one_and_no_summands(self):
+        d = corpus.random_description(random.Random(3), finite_dp_only=False)
+        assert direct_sum(d) == d
+        assert direct_sum() == make_description()
+
+
 class TestValidate:
     def test_valid_description(self):
         d = make_description(cyclic={(2, 3): OMEGA}, div={3: 1})
@@ -253,3 +292,45 @@ def trial_factors(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return list(out.items())
+
+
+def pairwise_sum(a: SzmielewDescription, b: SzmielewDescription) -> SzmielewDescription:
+    """The two-argument direct sum that the n-ary core.direct_sum replaced."""
+    if a.prime_tail is not None and b.prime_tail is not None:
+        pa, pb = a.prime_tail, b.prime_tail
+        pat = pa.pattern_dict()
+        for n, m in pb.pattern_dict().items():
+            pat[n] = mult_add(pat.get(n, 0), m)
+        prime_tail: Optional[PrimeTailShape] = make_prime_tail(
+            pat, mult_add(pa.tf_mult, pb.tf_mult), mult_add(pa.div_mult, pb.div_mult))
+    else:
+        prime_tail = a.prime_tail or b.prime_tail
+
+    cyclic = a.cyclic_dict()
+    for pn, m in b.cyclic_dict().items():
+        cyclic[pn] = mult_add(cyclic.get(pn, 0), m)
+    tf = a.tf_dict()
+    for p, m in b.tf_dict().items():
+        tf[p] = mult_add(tf.get(p, 0), m)
+    div = a.div_dict()
+    for p, m in b.div_dict().items():
+        div[p] = mult_add(div.get(p, 0), m)
+
+    tails: Dict[int, TailSpec] = {}
+    all_tail_primes = set(a.tail_dict()) | set(b.tail_dict())
+    for p in all_tail_primes:
+        sa = a.tail_dict().get(p)
+        sb = b.tail_dict().get(p)
+        max_exp = max([n for (q, n) in cyclic if q == p], default=0)
+        cut = max([s.cutoff for s in (sa, sb) if s is not None] + [max_exp])
+        total = 0
+        for spec in (sa, sb):
+            if spec is None:
+                continue
+            for n in range(spec.cutoff + 1, cut + 1):
+                cyclic[(p, n)] = mult_add(cyclic.get((p, n), 0), spec.mult)
+            total = mult_add(total, spec.mult)
+        tails[p] = TailSpec(cut, total)
+
+    return make_description(cyclic, tf, div, mult_add(a.q_mult, b.q_mult),
+                            tails, prime_tail)
