@@ -180,6 +180,7 @@ def _fuzz_one(seed_desc) -> Optional[str]:
 
 
 _FUZZ_WINDOW = 256    # descriptions submitted to the worker pool at once
+_FUZZ_CHUNK = 32      # descriptions sent to a worker in one round trip
 
 
 def _fuzz(args) -> dict:
@@ -200,7 +201,9 @@ def _fuzz(args) -> dict:
             # one window at a time, so that memory does not grow with --count
             windows = iter(lambda: list(itertools.islice(descs, _FUZZ_WINDOW)), [])
             disagreements = [r for window in windows
-                             for r in pool.map(_fuzz_one, window) if r is not None]
+                             for r in pool.map(_fuzz_one, window,
+                                               chunksize=_FUZZ_CHUNK)
+                             if r is not None]
     else:
         disagreements = [r for r in map(_fuzz_one, descs) if r is not None]
     return {"count": args.count, "seed": args.seed,

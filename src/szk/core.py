@@ -566,7 +566,9 @@ def validate(desc: SzmielewDescription) -> List[str]:
             errs.append("div base %d is not prime" % p)
         if not is_omega(m) and m < 0:
             errs.append("negative multiplicity at Z(%d^inf)" % p)
-    cyc = desc.cyclic_dict()
+    top: Dict[int, int] = {}     # the largest listed exponent per prime
+    for (p, n), _m in desc.cyclic:
+        top[p] = max(top.get(p, n), n)
     for p, spec in desc.cyclic_tail:
         if not is_prime(p):
             errs.append("tail base %d is not prime" % p)
@@ -574,10 +576,9 @@ def validate(desc: SzmielewDescription) -> List[str]:
             errs.append("tail(%d): multiplicity must be >= 1" % p)
         if not is_omega(spec.mult) and spec.mult < 0:
             errs.append("tail(%d): negative multiplicity" % p)
-        listed = [n for (q, n) in cyc if q == p]
-        if listed and spec.cutoff < max(listed):
+        if p in top and spec.cutoff < top[p]:
             errs.append("tail(%d): cutoff %d below listed exponent %d"
-                        % (p, spec.cutoff, max(listed)))
+                        % (p, spec.cutoff, top[p]))
     if not is_omega(desc.q_mult) and desc.q_mult < 0:
         errs.append("negative Q multiplicity")
     if desc.prime_tail is not None:

@@ -79,9 +79,10 @@ def invariants(desc: SzmielewDescription) -> InvariantReport:
     Tf_lim: Dict[int, Value] = {}
     quot: Dict[int, bool] = {}
     tors: Dict[int, bool] = {}
+    omega_cyclic = {p for (p, _e), m in cyc.items() if is_omega(m)}
     for p in desc.primes():
         has_tail = p in tails
-        some_alpha_inf = any(is_omega(m) for (q, _e), m in cyc.items() if q == p)
+        some_alpha_inf = p in omega_cyclic
         beta = tf.get(p, 0)
         gamma = dv.get(p, 0)
         D_lim[p] = INFINITE if has_tail else _power(p, gamma)

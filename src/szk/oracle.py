@@ -4,13 +4,16 @@ A family of p.p. subgroups witnesses depth k exactly when every
 leave-one-out intersection has infinite index over the full intersection.
 The search counts the canonical candidate pool and refuses it when it
 exceeds the cap, before anything is built.  It then builds only the pool's
-distinct profiles, from per-prime columns: each tor(p^e) and div(p, r, s)
-is evaluated on p's blocks alone, the torsion profiles are the products of
-one class of equal columns per prime, each represented by its least m, and
-each new div column is the whole subgroup elsewhere.  Per block it reads
-the bitmask of the candidates holding each local from one code string.  It
-explores families of those profiles depth-first with three prunings, all
-of which preserve exhaustiveness:
+distinct profiles, one prime at a time: each tor(p^e) and div(p, r, s) is
+evaluated on p's blocks alone, and a bounded memo keeps each prime's
+distinct columns, keyed by the prime, the bound and its blocks.  A profile
+is a tuple of column indices, one per prime and one for the prime-less
+blocks: the torsion profiles are the products of one class of equal
+columns per prime, each represented by its least m, and each new div
+column is the whole subgroup elsewhere.  The bitmask of the candidates
+holding each local is built per prime from those indices, one mask per
+column, not per block.  It explores families of those profiles
+depth-first with three prunings, all of which preserve exhaustiveness:
 
   - a formula of finite index can never appear in a valid family;
   - validity is closed downward, so supersets of invalid families die;
@@ -20,6 +23,7 @@ of which preserve exhaustiveness:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -76,61 +80,134 @@ def _pool(desc: SzmielewDescription, B: int
     return primes, materialize(strict, bounds, extra)
 
 
-def _profiles(primes: Sequence[int], B: int, blocks: Tuple[Block, ...]
-              ) -> Tuple[List[Tuple[Div, tuple]], List[Tuple[int, tuple]]]:
-    """The (div atom, key) pairs, then the (m, key) pairs of tor(m) by
-    ascending m, of the pool's distinct profiles on blocks.
+PRIME_MEMO = 1024     # the per-prime column sets that _prime_columns keeps
+
+
+@functools.lru_cache(maxsize=PRIME_MEMO)
+def _prime_columns(p: int, B: int, blocks: Tuple[Tuple[str, tuple], ...]):
+    """The pool's columns on the (kind, data) blocks of one prime p.
+
+    Returns the distinct columns; the least m = p^e of each torsion class,
+    class c being column c and the class of exponent 0 coming first; the
+    second exponent's p^e of that class, if it has one; the first
+    div(p, r, s) of each distinct div column, with its column index; and
+    the index of the whole column.  Equal columns share one index.
+    """
+    def column(atom) -> tuple:
+        return tuple(KINDS[kind].atom(data, atom) for kind, data in blocks)
+
+    cols: Dict[tuple, int] = {}
+    exps: List[List[int]] = []
+    for e in range(B + 1):
+        c = cols.setdefault(column(Tor(p ** e)), len(cols))
+        if c == len(exps):
+            exps.append([])
+        exps[c].append(e)
+    firsts: Dict[int, Div] = {}
+    for atom in [Div(p, r, s) for r in range(1, B + 1) for s in range(r)]:
+        firsts.setdefault(cols.setdefault(column(atom), len(cols)), atom)
+    whole = tuple(KINDS[kind].whole for kind, _data in blocks)
+    whole_at = cols.setdefault(whole, len(cols))
+    return (tuple(cols), tuple(p ** es[0] for es in exps),
+            tuple(p ** e for e in exps[0][1:2]),
+            tuple((atom, c) for c, atom in firsts.items()), whole_at)
+
+
+class _Pool:
+    """The pool's distinct profiles on blocks, built one prime at a time.
 
     The pool is tor(m) for every m > 1 whose exponents over primes are at
     most B, by ascending m, then div(p, r, s) for 0 <= s < r <= B; the first
-    formula of a profile represents it.  Each atom is evaluated to a column
-    on its prime's blocks alone: tor(m) acts there through the exponent of p
-    in m, and div(p, r, s) is the whole subgroup elsewhere.  A torsion profile
-    is one class of exponents of equal columns per prime, arranged in block
-    order.  Its least m takes each class's least exponent, or, when that
-    gives m = 1 (not in the pool), the second least at the one prime where
-    that is cheapest; with no second exponent anywhere it has no tor.
+    formula of a profile represents it.  The blocks fall into groups: the
+    prime-less ones, then each prime's.  groups[g] lists the indices of the
+    blocks of group g and cols[g] its distinct columns, and a profile is a
+    candidate: a tuple of one column index per group.
+
+    tor(m) acts on p's blocks through the exponent of p in m, so a torsion
+    profile takes one class of exponents of equal columns per prime.  Its
+    least m takes each class's least exponent, or, when that gives m = 1
+    (not in the pool), the second least at the one prime where that is
+    cheapest; with no second exponent anywhere it has no tor.  div(p, r, s)
+    is the whole subgroup off p's blocks.
     """
-    # the blocks of each prime, after the prime-less ones (at None)
-    at: Dict[Optional[int], List[int]] = {p: [] for p in [None, *primes]}
-    for bi, (kind, data, _m) in enumerate(blocks):
-        at[data[0] if KINDS[kind].has_prime else None].append(bi)
 
-    def column(bis: List[int], atom) -> tuple:
-        return tuple(KINDS[blocks[bi][0]].atom(blocks[bi][1], atom) for bi in bis)
+    def __init__(self, primes: Sequence[int], B: int,
+                 blocks: Tuple[Block, ...]):
+        at: Dict[Optional[int], List[int]] = {p: [] for p in [None, *primes]}
+        for bi, (kind, data, _m) in enumerate(blocks):
+            at[data[0] if KINDS[kind].has_prime else None].append(bi)
+        self.groups = list(at.values())
+        self.size = len(blocks)
+        # every tor cuts out zero on the prime-less blocks, every div the whole
+        none = {tuple(KINDS[blocks[bi][0]].atom(blocks[bi][1], Tor(1))
+                      for bi in at[None]): 0}
+        wholes = [none.setdefault(tuple(KINDS[blocks[bi][0]].whole
+                                        for bi in at[None]), len(none))]
+        self.cols = [tuple(none)]
+        pms, nexts, pdivs = [], [], []
+        for p in primes:
+            cols, classes, nxt, firsts, whole = _prime_columns(
+                p, B, tuple(blocks[bi][:2] for bi in at[p]))
+            self.cols.append(cols)
+            pms.append(classes)
+            nexts += nxt
+            pdivs.append(firsts)
+            wholes.append(whole)
 
-    # a flat tuple holds the prime-less locals, then each prime's column
-    order = [bi for bis in at.values() for bi in bis]
-    perm = sorted(range(len(order)), key=order.__getitem__)
-    arrange = itemgetter(*perm) if len(perm) > 1 else tuple
-    ms, flats, nexts = [1], [column(at[None], Tor(1))], []
-    for p in primes:
-        by_column: Dict[tuple, List[int]] = {}
-        for e in range(B + 1):
-            by_column.setdefault(column(at[p], Tor(p ** e)), []).append(e)
-        classes = [(p ** es[0], col) for col, es in by_column.items()]
-        zero = next(iter(by_column.values()))       # the class of exponent 0
-        nexts += [p ** e for e in zero[1:2]]
-        ms = [m * pm for m in ms for pm, _col in classes]
-        flats = [f + col for f in flats for _pm, col in classes]
-    # the first product has every class of exponent 0, m = 1 until fixed up;
-    # no two m are equal, so the sort never compares keys
-    ms[0] = min(nexts, default=1)
-    tors = sorted(zip(ms, map(arrange, flats)))[not nexts:]
-    seen = {k for _m, k in tors}
-    whole = [KINDS[kind].whole for kind, _data, _m in blocks]
-    divs = []
-    for p in primes:
-        firsts: Dict[tuple, Div] = {}
-        for atom in [Div(p, r, s) for r in range(1, B + 1) for s in range(r)]:
-            firsts.setdefault(column(at[p], atom), atom)
-        for col, atom in firsts.items():
-            place = dict(zip(at[p], col))
-            key = tuple(place.get(bi, w) for bi, w in enumerate(whole))
-            if key not in seen:
-                seen.add(key)
-                divs.append((atom, key))
-    return divs, tors
+        # the class products, in itertools.product order; the first has
+        # every class of exponent 0, m = 1 until fixed up
+        ms = [1]
+        for classes in pms:
+            ms = [m * pm for m in ms for pm in classes]
+        ms[0] = min(nexts, default=1)
+        cands = itertools.product((0,), *[range(len(c)) for c in pms])
+        self.tors = sorted(zip(ms, cands), key=itemgetter(0))[not nexts:]
+
+        self.divs: List[Tuple[Div, tuple]] = []
+        seen = {cand for _m, cand in self.tors}
+        for g, firsts in enumerate(pdivs, 1):
+            for atom, c in firsts:
+                cand = (*wholes[:g], c, *wholes[g + 1:])
+                if cand not in seen:
+                    seen.add(cand)
+                    self.divs.append((atom, cand))
+
+    def key(self, cand: tuple) -> tuple:
+        """The candidate's locals, in block order."""
+        out = [None] * self.size
+        for bis, cols, c in zip(self.groups, self.cols, cand):
+            for bi, v in zip(bis, cols[c]):
+                out[bi] = v
+        return tuple(out)
+
+    def holders(self) -> List[Dict[object, int]]:
+        """Per block, each distinct local with the bitmask of the candidates
+        holding it; bit ci of a mask is candidate ci of divs + tors, the
+        order in which the search tries them.
+
+        Per group, the few div candidates set their bits one at a time.
+        The tors' column indices there are torsion classes: one code string
+        of them is translated once per class.  Each column's mask is then
+        or-ed into the holders of the group's blocks."""
+        held: List[Dict[object, int]] = [{} for _ in range(self.size)]
+        shift = len(self.divs)
+        for g, (bis, cols) in enumerate(zip(self.groups, self.cols)):
+            if not bis:
+                continue
+            masks: Dict[int, int] = {}
+            for ci, (_atom, cand) in enumerate(self.divs):
+                masks[cand[g]] = masks.get(cand[g], 0) | 1 << ci
+            # the last tor first: bit ci of a mask is tor ci
+            text = "".join([chr(cand[g]) for _m, cand in reversed(self.tors)])
+            codes = "".join(sorted(set(text)))
+            for j, code in enumerate(codes):
+                bits = "0" * j + "1" + "0" * (len(codes) - j - 1)
+                mask = int(text.translate(str.maketrans(codes, bits)), 2)
+                masks[ord(code)] = masks.get(ord(code), 0) | mask << shift
+            for c, mask in masks.items():
+                for bi, v in zip(bis, cols[c]):
+                    held[bi][v] = held[bi].get(v, 0) | mask
+        return held
 
 
 def candidate_pool(desc: SzmielewDescription, B: int) -> List[PPFormula]:
@@ -138,9 +215,9 @@ def candidate_pool(desc: SzmielewDescription, B: int) -> List[PPFormula]:
     if B < 1:
         raise ValueError("pool bound must be >= 1")
     primes, blocks = _pool(desc, B)
-    divs, tors = _profiles(primes, B, blocks)
-    return ([tor(m) for m, _key in tors]
-            + [PPFormula.of(atom) for atom, _key in divs])
+    pool = _Pool(primes, B, blocks)
+    return ([tor(m) for m, _cand in pool.tors]
+            + [PPFormula.of(atom) for atom, _cand in pool.divs])
 
 
 def _leave_one_out(blocks: Tuple[Block, ...], locs: Sequence[tuple]
@@ -322,21 +399,10 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
     whole = _locals(blocks, PPFormula.top())
 
     # the pool's profiles, divisibility candidates first as the search tries
-    # them; per block, each distinct local with the bitmask of the
-    # candidates holding it, read from one code string per block
-    divs, tors = _profiles(primes, B, blocks)
-    cands = divs + tors
-    keys = [key for _atom, key in cands]
-    holders: List[Dict[object, int]] = []
-    for col in zip(*keys):
-        held = dict.fromkeys(col)
-        codes = "".join(map(chr, range(len(held))))
-        # the last candidate first: bit ci of a mask is candidate ci
-        text = "".join(map(dict(zip(held, codes)).__getitem__, reversed(col)))
-        for j, v in enumerate(held):
-            bits = "0" * j + "1" + "0" * (len(codes) - j - 1)
-            held[v] = int(text.translate(str.maketrans(codes, bits)), 2)
-        holders.append(held)
+    # them, and per block the bitmask of the candidates holding each local
+    pool = _Pool(primes, B, blocks)
+    cands = pool.divs + pool.tors
+    holders = pool.holders()
 
     def holding(bi: int, test) -> int:
         # one block's masks are disjoint, so their sum is their union
@@ -356,7 +422,7 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
         for bi, mode in slots]
 
     def family_valid(idxs: List[int]) -> bool:
-        locs = [keys[i] for i in idxs]
+        locs = [pool.key(cands[i][1]) for i in idxs]
         return all(_index(blocks, rest, full).is_infinite
                    for rest, full in _leave_one_out(blocks, locs))
 
@@ -457,7 +523,7 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
             break
         best = found
     capped = len(best) >= maxK and maxK < ub
-    witness = tuple(PPFormula.of(cands[i][0]) if i < len(divs)
+    witness = tuple(PPFormula.of(cands[i][0]) if i < len(pool.divs)
                     else tor(cands[i][0]) for i in best)
     return BreadthResult(len(best), witness, B, exhausted=not capped)
 

@@ -79,7 +79,8 @@ def _partition(strict: SzmielewDescription, ds: DerivedSets
     p1 = tuple(sorted(ds.u_inf))
     p2 = tuple(p for p in cyclic_primes
                if p not in ds.u_inf and ds.u_inf_at.get(p))
-    p3 = tuple(p for p in cyclic_primes if p not in p1 and p not in p2)
+    placed = set(p1) | set(p2)
+    p3 = tuple(p for p in cyclic_primes if p not in placed)
     return {"P1": p1, "P2": p2, "P3": p3}
 
 

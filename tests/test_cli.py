@@ -12,11 +12,11 @@ import time
 import pytest
 
 import szk
-from szk import cli, shatter
+from szk import cli, rank, shatter
 from szk.cli import main
 from szk.core import is_prime
 from szk.dsl import parse_formula, parse_group, render_group
-from szk.normalize import normalize
+from szk.normalize import derived_sets, invariants, normalize
 from tests.conftest import ROOT, run_szk, validate_payload
 
 
@@ -172,6 +172,15 @@ class TestExitCodes:
         assert cold.code == 0, cold.err
         assert cold.out == "%d descriptions checked, zero disagreements\n" % count
 
+    def test_fuzz_jobs_match_serial(self):
+        # more than two windows, each sent to the workers in chunks
+        outs = [run_szk(["--json", "fuzz", "--count", "600", "--seed", "1",
+                         "--jobs", jobs], timeout=60) for jobs in ("1", "2")]
+        assert outs[0].code == 0, outs[0].err
+        assert outs[1][:3] == outs[0][:3]
+        assert json.loads(outs[0].out) == {"count": 600, "seed": 1,
+                                           "disagreements": []}
+
     def test_fuzz_memory_does_not_grow_with_count(self, capsys, monkeypatch):
         import tracemalloc
 
@@ -208,7 +217,8 @@ class TestExitCodes:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
+            def map(self, fn, items, chunksize=1):
+                assert chunksize == cli._FUZZ_CHUNK
                 items = list(items)
                 self.pending += len(items)
                 held.append(self.pending)
@@ -525,6 +535,27 @@ class TestBoundedTime:
         assert cold.code == 0, cold.err
         assert json.loads(cold.out) == {
             "normal_form": render_group(normalize(parse_group(text)))}
+
+    @pytest.mark.parametrize("terms", [("Z(%d^2)^w",),
+                                       ("Z(%d^2)", "tail(%d,cutoff=3)")],
+                             ids=["omega-cyclic", "cyclic-and-tail"])
+    def test_long_group_invariants(self, terms):
+        # one table per prime in validate, invariants and rank's partition;
+        # scanning every cyclic block per prime took seconds here
+        sieve = bytearray([1]) * 90000
+        for i in range(2, 300):
+            if sieve[i]:
+                sieve[i * i::i] = bytes(len(range(i * i, 90000, i)))
+        primes = [p for p in range(2, 90000) if sieve[p]][:8000]
+        text = " + ".join(terms[i % len(terms)] % p
+                          for i, p in enumerate(primes))
+        t0 = time.perf_counter()
+        strict = normalize(parse_group(text))
+        report = invariants(strict)
+        partition = rank._partition(strict, derived_sets(strict))
+        assert time.perf_counter() - t0 < 1.0
+        assert len(report.U) + len(report.U_tail) == 8000
+        assert sum(map(len, partition.values())) == 8000
 
     def test_beyond_exact_primality(self):
         cold = run_szk(["rank", "Z(%d^1)" % (33 * 10 ** 23)], timeout=10)

@@ -239,6 +239,43 @@ class TestValidate:
         assert any("exponent" in e for e in validate(d))
 
 
+class TestValidateMatchesScan:
+    """validate's table of the largest listed exponent per prime reports what
+    the per-tail scan of every cyclic block reported, in text and order."""
+
+    @staticmethod
+    def invalid_description(rng):
+        def base():
+            return rng.choice([2, 3, 5, 7, 4, 6, 9, 1, 0, -3])
+
+        def mult():
+            return rng.choice([1, 2, OMEGA, 0, -1, -4])
+
+        cyclic = {(base(), rng.randint(-2, 6)): mult()
+                  for _ in range(rng.randint(0, 6))}
+        tf = {base(): mult() for _ in range(rng.randint(0, 3))}
+        dv = {base(): mult() for _ in range(rng.randint(0, 3))}
+        tails = {base(): TailSpec(rng.randint(-1, 7), mult())
+                 for _ in range(rng.randint(0, 4))}
+        pattern = tuple((rng.randint(-1, 4), mult())
+                        for _ in range(rng.randint(0, 3)))
+        shape = rng.choice([None, PrimeTailShape(pattern, mult(), mult())])
+        return SzmielewDescription(
+            tuple(cyclic.items()), tuple(tf.items()), tuple(dv.items()),
+            rng.choice([0, 1, OMEGA, -2]), tuple(tails.items()), shape)
+
+    def test_matches_scan(self):
+        rng = random.Random(31)
+        invalid = cutoffs = 0
+        for _ in range(3000):
+            d = self.invalid_description(rng)
+            errs = validate(d)
+            assert errs == scan_validate(d), d
+            invalid += bool(errs)
+            cutoffs += any("below listed exponent" in e for e in errs)
+        assert invalid > 2500 and cutoffs > 300
+
+
 class TestFormulas:
     def test_atoms_sorted_canonically(self):
         f = PPFormula.of(Div(2, 3, 1), Tor(4), Tor(2))
@@ -334,3 +371,44 @@ def pairwise_sum(a: SzmielewDescription, b: SzmielewDescription) -> SzmielewDesc
 
     return make_description(cyclic, tf, div, mult_add(a.q_mult, b.q_mult),
                             tails, prime_tail)
+
+
+def scan_validate(desc: SzmielewDescription):
+    """The validate that scanned every cyclic block for each tail."""
+    errs = []
+    for (p, n), m in desc.cyclic:
+        if not is_prime(p):
+            errs.append("cyclic base %d is not prime" % p)
+        if n < 1:
+            errs.append("cyclic exponent must be >= 1 (got %d at prime %d)" % (n, p))
+        if not is_omega(m) and m < 0:
+            errs.append("negative multiplicity at Z(%d^%d)" % (p, n))
+    for p, m in desc.tf:
+        if not is_prime(p):
+            errs.append("tf base %d is not prime" % p)
+        if not is_omega(m) and m < 0:
+            errs.append("negative multiplicity at Z_(%d)" % p)
+    for p, m in desc.div:
+        if not is_prime(p):
+            errs.append("div base %d is not prime" % p)
+        if not is_omega(m) and m < 0:
+            errs.append("negative multiplicity at Z(%d^inf)" % p)
+    cyc = desc.cyclic_dict()
+    for p, spec in desc.cyclic_tail:
+        if not is_prime(p):
+            errs.append("tail base %d is not prime" % p)
+        if spec.mult == 0:
+            errs.append("tail(%d): multiplicity must be >= 1" % p)
+        if not is_omega(spec.mult) and spec.mult < 0:
+            errs.append("tail(%d): negative multiplicity" % p)
+        listed = [n for (q, n) in cyc if q == p]
+        if listed and spec.cutoff < max(listed):
+            errs.append("tail(%d): cutoff %d below listed exponent %d"
+                        % (p, spec.cutoff, max(listed)))
+    if not is_omega(desc.q_mult) and desc.q_mult < 0:
+        errs.append("negative Q multiplicity")
+    if desc.prime_tail is not None:
+        for n, m in desc.prime_tail.cyclic_pattern:
+            if n < 1:
+                errs.append("prime-tail exponent must be >= 1 (got %d)" % n)
+    return errs

@@ -19,6 +19,11 @@ G10 = ("Z(2^1)^w + Z(2^3)^w + Z(2^5)^w + Z(2^7)^w + Z(3^1)^w + Z(3^3)^w"
        " + Z_(5)^w + Z_(7)^w + Z(11^inf)^w + tail(13)")
 
 
+# the slowest item of a fuzz round: B0 = 7
+SLOW_FUZZ_ITEM = ("Z(2^4)^w + Z(7^5) + Z_(2) + Z(5^inf)^2 + Z(7^inf)"
+                  " + forall_p{Z_(P)^2 + Z(P^inf)^2}")
+
+
 def witness_set(result):
     return {render_formula(f) for f in result.witness}
 
@@ -49,6 +54,15 @@ def brute_force_profiles(primes, B, blocks):
             seen.add(key)
             out.append((f, key))
     return out
+
+
+def brute_force_holders(size, keys):
+    """Per block, each local with the bitmask of the keys holding it."""
+    held = [{} for _ in range(size)]
+    for ci, key in enumerate(keys):
+        for bi, v in enumerate(key):
+            held[bi][v] = held[bi].get(v, 0) | 1 << ci
+    return held
 
 
 def reference_breadth_search(desc, B, maxK):
@@ -234,11 +248,17 @@ class TestProfileSpacePool:
                 # candidate_pool's blocks, and breadth_search's slotted ones
                 slotted = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
                 for bl in (blocks, slotted):
-                    divs, tors = oracle._profiles(primes, B, bl)
-                    got = ([(tor(m), key) for m, key in tors]
-                           + [(PPFormula.of(a), key) for a, key in divs])
+                    pool = oracle._Pool(primes, B, bl)
+                    got = ([(tor(m), pool.key(c)) for m, c in pool.tors]
+                           + [(PPFormula.of(a), pool.key(c))
+                              for a, c in pool.divs])
                     assert got == brute_force_profiles(primes, B, bl), (
                         desc, B)
+                    # the search's order: the div candidates first
+                    cands = [c for _f, c in pool.divs + pool.tors]
+                    keys = [pool.key(c) for c in cands]
+                    assert pool.holders() == brute_force_holders(
+                        len(bl), keys), (desc, B)
                     checked += 1
         assert checked > 500
 
@@ -269,6 +289,21 @@ class TestPoolTimeBudget:
         pool = candidate_pool(parse_group(G10), 9)
         assert time.perf_counter() - start < 2.0
         assert len(pool) == 3294
+
+
+    def test_slowest_fuzz_item_at_b0(self):
+        # 2,586 candidates over four pool primes, each column set built cold
+        g = parse_group(SLOW_FUZZ_ITEM)
+        dp = dp_rank(g).dp
+        oracle._prime_columns.cache_clear()
+        start = time.perf_counter()
+        r = breadth_search(g, 7, dp + 1)
+        assert time.perf_counter() - start < 0.1
+        assert (r.depth, r.exhausted) == (dp, True)
+        primes, blocks = oracle._pool(g, 7)
+        slotted = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
+        pool = oracle._Pool(primes, 7, slotted)
+        assert len(pool.divs) + len(pool.tors) == 2586
 
 
 class TestVerifyInp:
@@ -395,6 +430,34 @@ class TestSearchMatchesReference:
         for _ in range(60):
             desc = corpus.random_description(rng)
             self.check(desc, desc.max_exponent() + 2, dp_rank(desc).dp + 1)
+
+    def test_prime_memo_forward_and_reversed(self):
+        # one prime's blocks at several B, and the same blocks beside
+        # different other primes, after the corpus: answers never depend on
+        # what the memo holds
+        oracle._prime_columns.cache_clear()
+        rng = random.Random(4242)
+        cases = []
+        for _ in range(60):
+            desc = corpus.random_description(rng)
+            cases.append((desc, desc.max_exponent() + 2, dp_rank(desc).dp + 1))
+        for text in ["Z(2^3)^w + Z_(2)^w", "Z(2^3)^w + Z_(2)^w + Z(3^inf)^w",
+                     "Z(2^3)^w + Z_(2)^w + Z_(5)^w + tail(3)",
+                     "Z(2^3)^w + Z_(2)^w + forall_p{Z_(P)}"]:
+            cases += [(parse_group(text), B, 4) for B in (1, 2, 3, 5)]
+        for case in cases:
+            self.check(*case)
+        forward = oracle._prime_columns.cache_info()
+        assert forward.hits > 0
+        for case in reversed(cases):
+            self.check(*case)
+        info = oracle._prime_columns.cache_info()
+        assert info.misses == forward.misses and info.hits > forward.hits
+
+    def test_prime_memo_is_bounded(self):
+        maxsize = oracle._prime_columns.cache_info().maxsize
+        assert maxsize == oracle.PRIME_MEMO
+        assert isinstance(maxsize, int) and 0 < maxsize <= 10 ** 5
 
     def test_four_pool_primes_at_b0(self):
         # three listed primes and a prime tail: the slowest stratum of fuzz
