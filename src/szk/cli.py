@@ -18,16 +18,16 @@ import contextlib
 import json
 import os
 import sys
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 # only what every subcommand needs loads here; each payload function imports
 # the rest, so that a cold call compiles no module it does not run
-from .core import PoolOverflowError
+from .core import PoolOverflowError, Record
 from .dsl import ParseError, parse_formula, parse_group, render_group
 from .normalize import invariants, invariants_json, is_equivalent, normalize
 
 
-class Command(NamedTuple):
+class Command(Record):
     help: str
     args: Tuple[Tuple[str, dict], ...]          # add_argument's name and options
     payload: Callable[[argparse.Namespace], dict]

@@ -9,9 +9,104 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Tuple, Union
+
+
+# ---------------------------------------------------------------------------
+# Records
+
+# writes a field past the record's own __setattr__, which refuses every write
+_set = object.__setattr__
+
+# The methods that each Record subclass gets, written out for its fields, so
+# that each field is one attribute load, as in hand-written code.  __eq__
+# takes a field as equal when it is the same object or compares equal, as
+# tuple equality does; field by field, it builds no tuples, which is faster
+# on slots, and it stops at the first field that differs
+_METHODS = """\
+def __init__(self, {args}):
+{sets}
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return {same}
+    return NotImplemented
+def __hash__(self):
+    return hash(({own},))
+"""
+
+_ORDER = """\
+def {name}(self, other):
+    if other.__class__ is self.__class__:
+        return ({own},) {op} ({other},)
+    return NotImplemented
+"""
+
+
+class _RecordType(type):
+    """Makes the annotated names of a Record subclass its ``__slots__``, and
+    writes its ``__init__``, ``__eq__``, ``__hash__`` and, given
+    ``order=True``, its ``<``, ``<=``, ``>`` and ``>=``.  A method that the
+    class body defines is kept."""
+
+    def __new__(mcls, name, bases, ns, order=False):
+        fields = tuple(ns.get("__annotations__", ()))
+        has_default = [f in ns for f in fields]
+        if has_default != sorted(has_default):
+            raise TypeError("%s: a field without a default follows one with "
+                            "a default" % name)
+        defaults = tuple(ns.pop(f) for f in fields if f in ns)
+        ns["__slots__"] = fields
+        if fields:
+            own = ", ".join("self." + f for f in fields)
+            other = ", ".join("other." + f for f in fields)
+            sets = ["    _set(self, %r, %s)" % (f, f) for f in fields]
+            if "__post_init__" in ns:
+                sets.append("    self.__post_init__()")
+            same = " and ".join("(self.%s is other.%s or self.%s == other.%s)"
+                                % (f, f, f, f) for f in fields)
+            source = _METHODS.format(args=", ".join(fields), sets="\n".join(sets),
+                                     same=same, own=own)
+            if order:
+                source += "".join(
+                    _ORDER.format(name=n, op=op, own=own, other=other)
+                    for n, op in (("__lt__", "<"), ("__le__", "<="),
+                                  ("__gt__", ">"), ("__ge__", ">=")))
+            methods: dict = {}
+            exec(source, {"_set": _set}, methods)
+            methods["__init__"].__defaults__ = defaults or None
+            for key, fn in methods.items():
+                fn.__qualname__ = "%s.%s" % (ns.get("__qualname__", name), key)
+                ns.setdefault(key, fn)
+        return super().__new__(mcls, name, bases, ns)
+
+
+class Record(metaclass=_RecordType):
+    """A frozen record: the base of every szk result type.
+
+    A subclass lists its fields as annotated names, in order, and a name
+    given a value in the class body has that default.  The fields are
+    ``__slots__``; assigning or deleting one raises AttributeError.  Two
+    records are equal when they are of the same class and their fields are
+    equal, so a record never equals a tuple, and a record hashes as the tuple
+    of its fields.  The repr is ``Cls(a=..., b=...)`` and a record pickles by
+    its fields.  A ``__post_init__`` method runs at the end of ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
 
 
 class _Omega:
@@ -50,6 +145,10 @@ class _Omega:
     def __hash__(self):
         return hash("_Omega")
 
+    def __reduce__(self):
+        # unpickles as the one shared instance, which equality relies on
+        return "OMEGA"
+
 
 OMEGA = _Omega()
 Mult = Union[int, _Omega]
@@ -65,6 +164,9 @@ class _Infinite:
 
     def __hash__(self):
         return hash("_Infinite")
+
+    def __reduce__(self):
+        return "INFINITE"
 
 
 INFINITE = _Infinite()
@@ -209,8 +311,7 @@ def p_adic_valuation(n: int, p: int) -> int:
 # Index classes
 
 
-@dataclass(frozen=True)
-class Index:
+class Index(Record):
     """An exact subgroup index: a factored finite natural, or infinite.
 
     ``factors`` is a sorted tuple of (prime, exponent) pairs; ``None`` means
@@ -289,16 +390,14 @@ class Index:
 # Group descriptions
 
 
-@dataclass(frozen=True)
-class TailSpec:
+class TailSpec(Record):
     """Unbounded p-length: multiplicity ``mult`` at every exponent > cutoff."""
 
     cutoff: int
     mult: Mult
 
 
-@dataclass(frozen=True)
-class PrimeTailShape:
+class PrimeTailShape(Record):
     """A fixed per-prime shape applied to every prime not otherwise listed.
 
     ``cyclic_pattern`` maps exponent n to a multiplicity; ``tf_mult`` and
@@ -326,8 +425,7 @@ def make_prime_tail(cyclic_pattern: Optional[Dict[int, Mult]] = None,
     return PrimeTailShape(_freeze_pattern(cyclic_pattern or {}), tf_mult, div_mult)
 
 
-@dataclass(frozen=True)
-class SzmielewDescription:
+class SzmielewDescription(Record):
     """Symbolic abelian group given by its Szmielew data.
 
     cyclic maps (prime, exponent) to the multiplicity of Z(p^n); tf and div
@@ -465,15 +563,13 @@ def direct_sum(*descs: SzmielewDescription) -> SzmielewDescription:
 # Positive-primitive formulas
 
 
-@dataclass(frozen=True, order=True)
-class Tor:
+class Tor(Record, order=True):
     """The atom ``m x = 0``."""
 
     m: int
 
 
-@dataclass(frozen=True, order=True)
-class Div:
+class Div(Record, order=True):
     """The atom ``p^r | p^s x`` with 0 <= s < r."""
 
     p: int
@@ -490,8 +586,7 @@ def atom_sort_key(a: Atom) -> Tuple:
     return (1, a.p, a.r, a.s)
 
 
-@dataclass(frozen=True)
-class PPFormula:
+class PPFormula(Record):
     """A conjunction of canonical atoms; the empty conjunction is the whole group."""
 
     atoms: Tuple[Atom, ...] = ()

@@ -21,18 +21,16 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
-from .core import (OMEGA, Div, Mult, PPFormula, PrimeTailShape,
+from .core import (OMEGA, Div, Mult, PPFormula, PrimeTailShape, Record,
                    SzmielewDescription, TailSpec, Tor, atom_sort_key,
                    check_atom, direct_sum, is_omega, is_prime,
                    make_description, make_prime_tail, mult_add, prime_factors,
                    validate)
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     start: int
     end: int
 

@@ -7,11 +7,10 @@ reports are a property-test cross-check, not the decision procedure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple, Union
 
-from .core import (INFINITE, OMEGA, Mult, SzmielewDescription, _Infinite,
-                   is_omega, make_description)
+from .core import (INFINITE, OMEGA, Mult, Record, SzmielewDescription,
+                   _Infinite, is_omega, make_description)
 
 Value = Union[int, _Infinite]  # an exact cardinality p^k, or infinite
 
@@ -20,16 +19,14 @@ def _power(p: int, m: Mult) -> Value:
     return INFINITE if is_omega(m) else p ** m
 
 
-@dataclass(frozen=True)
-class TailDefault:
+class TailDefault(Record):
     """U(p,n) = value for every n >= cutoff (shifted Ulm indexing)."""
 
     cutoff: int
     value: Value
 
 
-@dataclass(frozen=True)
-class PrimeTailDefaults:
+class PrimeTailDefaults(Record):
     """Invariant contributions shared by every unlisted prime P.
 
     u_pattern is keyed by the shifted Ulm index n and holds the multiplicity
@@ -43,8 +40,7 @@ class PrimeTailDefaults:
     torsion_infinite: bool
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Record):
     U: Dict[Tuple[int, int], Value]            # finite support; default 1
     U_tail: Dict[int, TailDefault]             # unbounded-length primes
     D_lim: Dict[int, Value]                    # default 1
@@ -139,8 +135,7 @@ def is_equivalent(a: SzmielewDescription, b: SzmielewDescription) -> bool:
     return normalize(a) == normalize(b)
 
 
-@dataclass(frozen=True)
-class DerivedSets:
+class DerivedSets(Record):
     """Prime sets read off the strict form, driving the rank equations."""
 
     tf_inf: FrozenSet[int]                       # beta_p = omega

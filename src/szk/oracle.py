@@ -26,11 +26,10 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .core import (Div, Index, PoolOverflowError, PPFormula,
+from .core import (Div, Index, PoolOverflowError, PPFormula, Record,
                    SzmielewDescription, Tor, is_omega, is_prime, tor)
 from .normalize import normalize
 from .ppeval import (KINDS, Block, _formula_requirements, _index, _locals,
@@ -232,8 +231,7 @@ def _leave_one_out(blocks: Tuple[Block, ...], locs: Sequence[tuple]
         yield rest, _meet_locals(blocks, rest, li)
 
 
-@dataclass(frozen=True)
-class InpVerdict:
+class InpVerdict(Record):
     valid: bool
     transcript: Tuple[Index, ...]      # leave-one-out index per member
 
@@ -250,8 +248,7 @@ def verify_inp(desc: SzmielewDescription, family: Sequence[PPFormula]) -> InpVer
     return InpVerdict(all(t.is_infinite for t in transcript), transcript)
 
 
-@dataclass(frozen=True)
-class BreadthResult:
+class BreadthResult(Record):
     depth: int
     witness: Tuple[PPFormula, ...]
     pool_bound: int

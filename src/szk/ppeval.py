@@ -13,11 +13,10 @@ encodes the extreme value of a coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .core import (INFINITE, Index, Mult, PPFormula, SzmielewDescription,
-                   Div, _Infinite, is_omega, mult_add,
+from .core import (INFINITE, Index, Mult, PPFormula, Record,
+                   SzmielewDescription, Div, _Infinite, is_omega, mult_add,
                    p_adic_valuation, prime_factors)
 
 Block = Tuple[str, tuple, Mult]
@@ -337,8 +336,7 @@ def _index(blocks: Tuple[Block, ...], big: tuple, small: tuple) -> Index:
     return Index.from_factors(exps)
 
 
-@dataclass(frozen=True)
-class SubgroupProfile:
+class SubgroupProfile(Record):
     """Exact p.p.-definable subgroup, one local coordinate per block."""
 
     desc: SzmielewDescription
@@ -383,8 +381,7 @@ def index_class(h: SubgroupProfile, k: SubgroupProfile) -> Index:
 # Cardinality and exponent
 
 
-@dataclass(frozen=True)
-class ProfileStats:
+class ProfileStats(Record):
     cardinality: Index
     exponent: Union[int, _Infinite]  # least m with m H = 0, or INFINITE
 

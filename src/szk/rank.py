@@ -1,16 +1,16 @@
 """Closed-form dp-rank, classification predicates, vc-density, seed witnesses.
 
-dp_rank computes the value twice, once by the four-case dispatch and once by
-the epsilon equation, and asserts they agree; a disagreement is an internal
-error (CLI exit code 2), never a user error.
+dp_rank, classify and vc_density compute the value twice, once by the
+four-case dispatch and once by the epsilon equation, and assert they agree; a
+disagreement is an internal error (CLI exit code 2), never a user error.  Only
+dp_rank builds the seed witnesses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .core import PPFormula, SzmielewDescription, div, tor
+from .core import PPFormula, Record, SzmielewDescription, div, tor
 from .normalize import (DerivedSets, _derived_sets, derived_sets_json,
                         normalize)
 
@@ -33,14 +33,12 @@ def gap_count(ns: Iterable[int]) -> int:
     return len(_gap_subset(ns))
 
 
-@dataclass(frozen=True)
-class WitnessFamily:
+class WitnessFamily(Record):
     tag: str
     formulas: Tuple[PPFormula, ...]
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(Record):
     dp: Optional[int]                  # None means infinite
     strong: bool
     case_tag: Union[int, str]          # 1..4, "finite-group", or "infinite"
@@ -50,8 +48,7 @@ class RankReport:
     witnesses: Tuple[WitnessFamily, ...]
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     strong: bool
     finite_dp: bool
     dp_minimal: bool
@@ -161,54 +158,64 @@ def _seed_witnesses(ds: DerivedSets) -> Tuple[WitnessFamily, ...]:
     return tuple(out)
 
 
-def dp_rank(desc: SzmielewDescription) -> RankReport:
-    strict = normalize(desc)
-    ds = _derived_sets(strict)
-    eps = _epsilons(strict, ds)
-    partition = _partition(strict, ds)
-    witnesses = _seed_witnesses(ds)
-    strong = _strong(ds)
-
+def _value(strict: SzmielewDescription, ds: DerivedSets, eps: Dict[str, int]
+           ) -> Tuple[Optional[int], Union[int, str]]:
+    """The dp-rank (None for infinite) and its case tag; a finite value from
+    the case equation must equal the epsilon equation's."""
     if strict.is_finite:
-        return RankReport(0, strong, "finite-group", ds, eps, partition, witnesses)
+        return 0, "finite-group"
     if not _finite_dp(ds):
-        return RankReport(None, strong, "infinite", ds, eps, partition, witnesses)
-
+        return None, "infinite"
     case, value = _case_value(strict, ds)
     eps_value = _epsilon_value(strict, ds, eps)
     if value != eps_value:
         raise AssertionError(
             "case equation %d gives %d but epsilon equation gives %d"
             % (case, value, eps_value))
-    return RankReport(value, strong, case, ds, eps, partition, witnesses)
+    return value, case
+
+
+def _rank_of(desc: SzmielewDescription) -> Tuple[DerivedSets, Optional[int]]:
+    """The derived sets and the dp-rank, without witnesses."""
+    strict = normalize(desc)
+    ds = _derived_sets(strict)
+    return ds, _value(strict, ds, _epsilons(strict, ds))[0]
+
+
+def dp_rank(desc: SzmielewDescription) -> RankReport:
+    strict = normalize(desc)
+    ds = _derived_sets(strict)
+    eps = _epsilons(strict, ds)
+    dp, case = _value(strict, ds, eps)
+    return RankReport(dp, _strong(ds), case, ds, eps, _partition(strict, ds),
+                      _seed_witnesses(ds))
 
 
 def classify(desc: SzmielewDescription) -> Classification:
-    report = dp_rank(desc)
-    ds, strong = report.derived, report.strong
+    ds, dp = _rank_of(desc)
+    strong = _strong(ds)
     finite_dp = _finite_dp(ds)
     if finite_dp and not strong:
         raise AssertionError("finite dp-rank must imply strong")
     finitely_many_torsion = not (ds.d_inf_infinite or ds.u_pairs_infinite)
     if (strong and finitely_many_torsion) != finite_dp:
         raise AssertionError("strongness corollary violated")
-    if finite_dp != (report.dp is not None):
+    if finite_dp != (dp is not None):
         raise AssertionError("finite-dp predicate disagrees with dp_rank")
-    return Classification(strong, finite_dp, report.dp == 1)
+    return Classification(strong, finite_dp, dp == 1)
 
 
-@dataclass(frozen=True)
-class VcReport:
+class VcReport(Record):
     values: Dict[int, Optional[int]]   # None means infinite
 
 
 def vc_density(desc: SzmielewDescription, ms: Iterable[int]) -> VcReport:
-    report = dp_rank(desc)
+    dp = _rank_of(desc)[1]
     out: Dict[int, Optional[int]] = {}
     for m in ms:
         if m < 1:
             raise ValueError("vc-density argument must be >= 1")
-        out[m] = None if report.dp is None else m * report.dp
+        out[m] = None if dp is None else m * dp
     return VcReport(out)
 
 

@@ -20,11 +20,10 @@ enumeration.  Everything here is exact, and guarded by size caps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gcd, lcm, prod
 from typing import List, Sequence, Tuple
 
-from .core import PPFormula, SzmielewDescription, Tor
+from .core import PPFormula, Record, SzmielewDescription, Tor
 
 GROUP_CAP = 10 ** 6
 FAMILY_BITS_CAP = 10 ** 8       # cosets times carrier bits: 12.5 MB of masks
@@ -32,8 +31,7 @@ SAMPLE_CAP = 4 * 10 ** 6        # samples times traces per sample: about 2 s
 SUBSET_CAP = 6
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(Record):
     orders: Tuple[int, ...]
 
     def __post_init__(self):
@@ -107,8 +105,7 @@ def subgroup_members(g: FinAbGroup, formula: PPFormula) -> List[int]:
                                    for m, d in zip(g.orders, _steps(g, formula))])
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(Record):
     carrier_size: int
     sets: Tuple[int, ...]              # bitmasks over the carrier
 

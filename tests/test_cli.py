@@ -557,6 +557,18 @@ class TestBoundedTime:
         assert len(report.U) + len(report.U_tail) == 8000
         assert sum(map(len, partition.values())) == 8000
 
+    def test_classify_and_vc_build_no_witnesses(self):
+        # the divisible-socles family of k such primes is k moduli of k-1
+        # primes each, quadratic in k; only dp_rank builds it
+        primes = [p for p in range(2, 20000) if is_prime(p)][:2000]
+        desc = parse_group(" + ".join("Z(%d^inf)^w" % p for p in primes))
+        t0 = time.perf_counter()
+        classification = rank.classify(desc)
+        vc = rank.vc_density(desc, [1, 2])
+        assert time.perf_counter() - t0 < 1.0
+        assert classification == rank.Classification(True, True, False)
+        assert vc.values == {1: 2000, 2: 4000}
+
     def test_beyond_exact_primality(self):
         cold = run_szk(["rank", "Z(%d^1)" % (33 * 10 ** 23)], timeout=10)
         assert cold.code == 1 and cold.out == ""

@@ -1,16 +1,20 @@
-"""Every name a module of `szk` imports is used in that module.
+"""Every name a module of `szk` imports is used in that module, and no module
+brings the `dataclasses` machinery onto the cold path.
 
-`__init__.py` is left out: it imports names to re-export them.
+`__init__.py` is left out of the unused-import check: it imports names to
+re-export them.
 """
 
 import ast
+import subprocess
+import sys
 
 import pytest
 
 from tests.conftest import ROOT
 
-MODULES = sorted(p for p in (ROOT / "src" / "szk").glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted((ROOT / "src" / "szk").glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str):
@@ -36,3 +40,53 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str):
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module)
+    return out
+
+
+def test_finds_an_imported_module():
+    assert imported_modules("import os.path\nfrom dataclasses import field\n"
+                            "from . import core\n") == {"os.path", "dataclasses"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_dataclasses(path):
+    # records derive from core.Record: dataclasses loads inspect, ast, dis and
+    # tokenize, and builds each class at start-up
+    assert not {m for m in imported_modules(path.read_text())
+                if m.partition(".")[0] == "dataclasses"}
+
+
+# Without site (-S) and environment (-E), so that only szk's own imports
+# count, and writing no byte code (-B): the modules added by `import
+# szk.cli`, then by the modules that a cold rank, classify, vc, eval or index
+# call loads besides
+_COLD_IMPORT = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import szk.cli
+cli = set(sys.modules)
+import szk.ppeval, szk.rank
+print(" ".join(sorted(cli - before)))
+print(" ".join(sorted(set(sys.modules) - cli)))
+"""
+
+
+def test_cold_import_loads_no_dataclasses():
+    proc = subprocess.run(
+        [sys.executable, "-B", "-E", "-S", "-c", _COLD_IMPORT, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=30, check=True)
+    by_cli, by_rest = (set(line.split()) for line in proc.stdout.splitlines())
+    assert {"szk.cli", "szk.core", "argparse"} <= by_cli
+    assert {"szk.rank", "szk.ppeval"} <= by_rest
+    for added in (by_cli, by_rest):
+        assert not added & {"dataclasses", "inspect"}
