@@ -168,14 +168,16 @@ def _shatter_text(p: dict) -> str:
 def _fuzz_one(seed_desc) -> Optional[str]:
     from . import oracle, rank
     desc = seed_desc
-    report = rank.dp_rank(desc)
-    if report.dp is None:
+    strict = normalize(desc)
+    # the dp-rank alone: the differential prints no witnesses
+    dp = rank._rank_of(strict)[1]
+    if dp is None:
         return "corpus produced an infinite-rank description: %s" % render_group(desc)
-    b0 = normalize(desc).max_exponent() + 2
-    result = oracle.breadth_search(desc, b0, report.dp + 1)
-    if result.depth != report.dp:
+    b0 = strict.max_exponent() + 2
+    result = oracle.breadth_search(strict, b0, dp + 1)
+    if result.depth != dp:
         return ("disagreement on %s: closed form %d, oracle %d (B0=%d)"
-                % (render_group(desc), report.dp, result.depth, b0))
+                % (render_group(desc), dp, result.depth, b0))
     return None
 
 

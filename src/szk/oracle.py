@@ -19,6 +19,13 @@ depth-first with three prunings, all of which preserve exhaustiveness:
   - validity is closed downward, so supersets of invalid families die;
   - every member of a valid family is the unique deepest local subgroup at
     some block, which bounds the depth by a per-block slot count.
+
+The depth levels are scanned from the cap down, and the scan stops at the
+first level that holds a family.  This is exact: validity is closed
+downward, so every level below the depth holds a family and none above it
+does, and each level is searched exhaustively, so a level that fails holds
+no family at all.  The family returned is the first of its level in slot-set
+order, the one an upward scan would end on.
 """
 
 from __future__ import annotations
@@ -264,11 +271,12 @@ class BreadthResult(Record):
 # beats(mult, vx, vy), whether member y loses to the occupant x; and
 # loser(mult, vals), a test of whether a local loses to some occupant with
 # a local in vals.  Each test reads the local of one block only, so
-# breadth_search runs occupies and loser once per distinct local: it keeps,
-# per block, the bitmask of the candidates holding each local, and solve
-# prunes its slot domains by and-ing such masks.  It then forms its classes
-# by splitting the live mask on the masks of its slot blocks, each class led
-# by its lowest bit, so a class lies wholly inside or outside a domain.
+# breadth_search runs each test once per distinct local: it keeps, per
+# block, the bitmask of the candidates holding each local, and solve prunes
+# its slot domains by and-ing such masks.  It then splits the live mask on
+# the masks of its slot blocks and names each part by its lowest bit; the
+# member search prunes the domains of those names with one beats mask per
+# slot and local.
 
 
 def _tf_key(v):
@@ -423,15 +431,42 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
         return all(_index(blocks, rest, full).is_infinite
                    for rest, full in _leave_one_out(blocks, locs))
 
+    # per slot, one mask per local, built once per search: the candidates
+    # whose local at the slot's block loses to an occupant with local vx,
+    # and those that occupy the slot and beat a member with local vc
+    lost: Dict[Tuple[int, object], int] = {}
+    won: Dict[Tuple[int, object], int] = {}
+
+    def losing(si: int, vx) -> int:
+        if (si, vx) not in lost:
+            bi, mode = slots[si]
+            mult = blocks[bi][2]
+            lost[si, vx] = holding(bi, lambda v: mode.beats(mult, vx, v))
+        return lost[si, vx]
+
+    def winning(si: int, vc) -> int:
+        if (si, vc) not in won:
+            bi, mode = slots[si]
+            mult = blocks[bi][2]
+            won[si, vc] = holding(bi, lambda v: (mode.occupies(mult, v)
+                                                 and mode.beats(mult, v, vc)))
+        return won[si, vc]
+
+    def local(bi: int, bit: int):
+        """The local at block bi of the candidate with this bit."""
+        return next(v for v, m in holders[bi].items() if m & bit)
+
     def solve(chosen_slots: Tuple[int, ...]) -> Optional[List[int]]:
         """Find a family occupying exactly these slots, or prove none exists.
 
         Each domain, a bitmask over the candidates, starts as those that can
         occupy its slot and is pruned to a fixed point.  Only if none empties
-        are members searched, as classes of the live candidates sharing their
-        locals at the participating blocks; validity at these slots only
-        depends on those locals, and any family witnessed elsewhere is found
-        under the slot set naming its actual witness blocks.
+        are members searched.  Validity at these slots only depends on the
+        locals at the slot blocks, so the live candidates fall into classes
+        that share those locals, and each class is named by its lowest bit:
+        a domain keeps only the names, and members are tried by ascending
+        bit.  Any family witnessed elsewhere is found under the slot set
+        naming its actual witness blocks.
         """
         S = [slots[si] for si in chosen_slots]
         mults = [blocks[bi][2] for bi, _mode in S]
@@ -454,59 +489,49 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
                         masks[j] &= keep
                         changed = True
 
-        bis = sorted({bi for bi, _mode in S})
         live = 0
         for d in masks:
             live |= d
-        parts = [(live, ())]
-        for bi in bis:
-            parts = [(sub, proj + (v,)) for part, proj in parts
-                     for v, m in holders[bi].items() if (sub := part & m)]
-        # (candidate index, projection), each class led by its lowest bit
-        classes = sorted(((part & -part).bit_length() - 1, proj)
-                         for part, proj in parts)
-        pos = {bi: k for k, bi in enumerate(bis)}
-        at = [pos[bi] for bi, _mode in S]
-        domains = [[c for c, (ci, _proj) in enumerate(classes) if d >> ci & 1]
-                   for d in masks]
-        order = sorted(range(t), key=lambda k: len(domains[k]))
+        parts = [live]
+        for bi in {bi for bi, _mode in S}:
+            parts = [sub for part in parts for m in holders[bi].values()
+                     if (sub := part & m)]
+        reps = 0
+        for part in parts:
+            reps |= part & -part
+        domains = [d & reps for d in masks]
+        order = sorted(range(t), key=lambda k: domains[k].bit_count())
 
-        def assign(step: int, doms: List[List[int]],
-                   picked: List[Tuple[int, int]]) -> Optional[List[int]]:
+        def assign(step: int, doms: List[int], picked: List[int]
+                   ) -> Optional[List[int]]:
             if step == t:
-                reps = sorted(classes[c][0] for _k, c in picked)
-                return reps if family_valid(reps) else None
-            k = order[step]
-            for c in doms[k]:
-                vx = classes[c][1][at[k]]
+                idxs = sorted(bit.bit_length() - 1 for bit in picked)
+                return idxs if family_valid(idxs) else None
+            k, later = order[step], order[step + 1:]
+            si, bi = chosen_slots[k], S[k][0]
+            todo = doms[k]
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                beaten = losing(si, local(bi, low)) & ~low if later else 0
                 nxt = list(doms)
-                dead = False
-                for lk in order[step + 1:]:
-                    kept = []
-                    for z in doms[lk]:
-                        if z == c:
-                            continue
-                        vz = classes[z][1]
-                        if (modes[k].beats(mults[k], vx, vz[at[k]])
-                                and modes[lk].beats(mults[lk], vz[at[lk]],
-                                                    classes[c][1][at[lk]])):
-                            kept.append(z)
-                    if not kept:
-                        dead = True
+                for lk in later:
+                    nxt[lk] &= beaten & winning(chosen_slots[lk],
+                                                local(S[lk][0], low))
+                    if not nxt[lk]:
                         break
-                    nxt[lk] = kept
-                if dead:
-                    continue
-                got = assign(step + 1, nxt, picked + [(k, c)])
-                if got is not None:
-                    return got
+                else:
+                    got = assign(step + 1, nxt, picked + [low])
+                    if got is not None:
+                        return got
             return None
 
         return assign(0, domains, [])
 
+    # validity is closed downward, so the depth is the highest level that
+    # holds a family: scan from the cap down and stop at the first
     best: List[int] = []
-    for t in range(1, target + 1):
-        found = None
+    for t in range(target, 0, -1):
         for chosen in itertools.combinations(range(len(slots)), t):
             used = [slots[si][0] for si in chosen]
             # two modes of one block (a tail) need multiplicity omega
@@ -515,10 +540,10 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
                 continue
             found = solve(chosen)
             if found is not None:
+                best = found
                 break
-        if found is None:
+        if best:
             break
-        best = found
     capped = len(best) >= maxK and maxK < ub
     witness = tuple(PPFormula.of(cands[i][0]) if i < len(pool.divs)
                     else tor(cands[i][0]) for i in best)

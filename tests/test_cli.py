@@ -111,6 +111,15 @@ class TestHumanOutput:
         assert code == 0
         assert "5 descriptions checked, zero disagreements" in out
 
+    def test_fuzz_builds_no_witnesses(self, capsys, monkeypatch):
+        def refuse(_ds):
+            raise AssertionError("fuzz built witness families")
+
+        monkeypatch.setattr(rank, "_seed_witnesses", refuse)
+        code, out, err = run(capsys, "fuzz", "--count", "20")
+        assert code == 0, err
+        assert "20 descriptions checked, zero disagreements" in out
+
 
 class TestExitCodes:
     def test_parse_error(self, capsys):

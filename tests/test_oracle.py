@@ -19,9 +19,30 @@ G10 = ("Z(2^1)^w + Z(2^3)^w + Z(2^5)^w + Z(2^7)^w + Z(3^1)^w + Z(3^3)^w"
        " + Z_(5)^w + Z_(7)^w + Z(11^inf)^w + tail(13)")
 
 
+# the oracle_deep ladder: (group, pool bound, depth cap)
+DEEP_RUNGS = [("tail(2,w)", 14, 5), ("tail(2,w)", 16, 5),
+              ("tail(2,w) + tail(3,w)", 8, 4), (G10, 3, 10)]
+
+
 # the slowest item of a fuzz round: B0 = 7
 SLOW_FUZZ_ITEM = ("Z(2^4)^w + Z(7^5) + Z_(2) + Z(5^inf)^2 + Z(7^inf)"
                   " + forall_p{Z_(P)^2 + Z(P^inf)^2}")
+
+
+# the shape of the fuzz tail: three listed primes and a prime tail at
+# B0 = 7, where every torsion profile is distinct (8^4 - 1 = 4,095 tors)
+P98_SHAPE = ("Z(5^1)^2 + tail(2,cutoff=3) + tail(5,cutoff=3) + tail(7,cutoff=5)"
+             " + Z(2^inf)^w + forall_p{Z_(P) + Z(P^inf)^2}")
+
+# the slowest searches found with a cap above the depth, where every level
+# above the depth fails before the depth's level holds a family:
+# (group, pool bound, depth cap, depth)
+CAP_ABOVE_DEPTH = [
+    ("Z(2^3)^w + tail(5,cutoff=2) + Z_(2)^w"
+     " + forall_p{Z(P^3) + Z_(P) + Z(P^inf)^2}", 4, 6, 2),
+    ("Z_(2) + Z_(5)^2 + Z(2^inf)^2 + Z(5^inf)^2 + Z(7^inf)^2 + Q^w"
+     " + forall_p{Z_(P)^2 + Z(P^inf)^2}", 2, 6, 1),
+]
 
 
 def witness_set(result):
@@ -306,6 +327,26 @@ class TestPoolTimeBudget:
         assert len(pool.divs) + len(pool.tors) == 2586
 
 
+    @pytest.mark.parametrize("text,B,maxK,depth", CAP_ABOVE_DEPTH,
+                             ids=["tail5", "q-div"])
+    def test_cap_above_the_depth(self, text, B, maxK, depth):
+        g = parse_group(text)
+        start = time.perf_counter()
+        r = breadth_search(g, B, maxK)
+        assert time.perf_counter() - start < 0.05
+        assert (r.depth, r.exhausted) == (depth, True)
+
+    @pytest.mark.parametrize("text,B,maxK", DEEP_RUNGS,
+                             ids=["tail2-14", "tail2-16", "tail23-8", "g10-3"])
+    def test_deep_rung(self, text, B, maxK):
+        # each takes 5-40 ms; without the winning masks, a member search
+        # that prunes by the occupant's losers alone takes over 3 s on G10
+        g = parse_group(text)
+        start = time.perf_counter()
+        breadth_search(g, B, maxK)
+        assert time.perf_counter() - start < 0.5
+
+
 class TestVerifyInp:
     def test_singleton_valid(self):
         v = verify_inp(parse_group("Z_(2)^w"), [parse_formula("div(2,1,0)")])
@@ -412,11 +453,6 @@ class TestBreadthSearch:
             assert r.depth == report.dp
 
 
-# the oracle_deep ladder: (group, pool bound, depth cap)
-DEEP_RUNGS = [("tail(2,w)", 14, 5), ("tail(2,w)", 16, 5),
-              ("tail(2,w) + tail(3,w)", 8, 4), (G10, 3, 10)]
-
-
 class TestSearchMatchesReference:
     """The once-per-search masks return what per-call projection returned."""
 
@@ -471,6 +507,35 @@ class TestSearchMatchesReference:
                 self.check(desc, strict.max_exponent() + 2,
                            dp_rank(desc).dp + 1)
                 checked += 1
+
+    def test_caps_above_the_depth(self, finite_dp_corpus, mixed_corpus):
+        # levels are scanned from the cap down, so every level above the
+        # depth fails before the depth's level holds a family.  A cap two
+        # over the slot bound starts at the highest level the search allows;
+        # 6 is the CLI default
+        for desc in finite_dp_corpus[:40] + mixed_corpus[:40]:
+            B = min(normalize(desc).max_exponent() + 2, 4)
+            primes, blocks = oracle._pool(desc, B)
+            slotted = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
+            for maxK in (oracle._slot_bound(slotted) + 2, 6):
+                self.check(desc, B, maxK)
+        for text, B, maxK, _depth in CAP_ABOVE_DEPTH:
+            self.check(parse_group(text), B, maxK)
+
+    def test_slowest_fuzz_shape(self):
+        g = parse_group(P98_SHAPE)
+        primes, blocks = oracle._pool(g, 7)
+        slotted = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
+        assert len(oracle._Pool(primes, 7, slotted).tors) == 4095
+        for maxK in (dp_rank(g).dp + 1, 6):
+            self.check(g, 7, maxK)
+
+    def test_cap_level_first_slot_set(self):
+        # three omega torsion-free blocks at cap 3: the first slot set of the
+        # cap's level holds the family, so no level fails before it
+        r = breadth_search(parse_group("Z_(2)^w + Z_(3)^w + Z_(5)^w"), 2, 3)
+        assert (r.depth, r.exhausted) == (3, True)
+        self.check(parse_group("Z_(2)^w + Z_(3)^w + Z_(5)^w"), 2, 3)
 
     @pytest.mark.parametrize("text", EDGE.values(), ids=EDGE.keys())
     def test_edge_shapes(self, text):
