@@ -165,16 +165,16 @@ def _shatter_text(p: dict) -> str:
     return "\r\n".join(["n,pi,pow2"] + rows) + "\r"
 
 
-def _fuzz_one(seed_desc) -> Optional[str]:
+def _fuzz_one(desc) -> Optional[str]:
     from . import oracle, rank
-    desc = seed_desc
+    # normalized once for both sides; the dp-rank alone, as the differential
+    # prints no witnesses
     strict = normalize(desc)
-    # the dp-rank alone: the differential prints no witnesses
     dp = rank._rank_of(strict)[1]
     if dp is None:
         return "corpus produced an infinite-rank description: %s" % render_group(desc)
     b0 = strict.max_exponent() + 2
-    result = oracle.breadth_search(strict, b0, dp + 1)
+    result = oracle._breadth_search(strict, b0, dp + 1)
     if result.depth != dp:
         return ("disagreement on %s: closed form %d, oracle %d (B0=%d)"
                 % (render_group(desc), dp, result.depth, b0))

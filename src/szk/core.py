@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import sys
 from math import gcd
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 
 # ---------------------------------------------------------------------------
@@ -643,21 +643,27 @@ def check_atom(a: Atom) -> Optional[str]:
 
 def validate(desc: SzmielewDescription) -> List[str]:
     """Every violated invariant of a description; empty list means valid."""
+    return _violations(desc, is_prime)
+
+
+def _violations(desc: SzmielewDescription, prime: Callable[[int], bool]
+                ) -> List[str]:
+    """validate's list, with prime deciding whether each base is prime."""
     errs: List[str] = []
     for (p, n), m in desc.cyclic:
-        if not is_prime(p):
+        if not prime(p):
             errs.append("cyclic base %d is not prime" % p)
         if n < 1:
             errs.append("cyclic exponent must be >= 1 (got %d at prime %d)" % (n, p))
         if not is_omega(m) and m < 0:
             errs.append("negative multiplicity at Z(%d^%d)" % (p, n))
     for p, m in desc.tf:
-        if not is_prime(p):
+        if not prime(p):
             errs.append("tf base %d is not prime" % p)
         if not is_omega(m) and m < 0:
             errs.append("negative multiplicity at Z_(%d)" % p)
     for p, m in desc.div:
-        if not is_prime(p):
+        if not prime(p):
             errs.append("div base %d is not prime" % p)
         if not is_omega(m) and m < 0:
             errs.append("negative multiplicity at Z(%d^inf)" % p)
@@ -665,7 +671,7 @@ def validate(desc: SzmielewDescription) -> List[str]:
     for (p, n), _m in desc.cyclic:
         top[p] = max(top.get(p, n), n)
     for p, spec in desc.cyclic_tail:
-        if not is_prime(p):
+        if not prime(p):
             errs.append("tail base %d is not prime" % p)
         if spec.mult == 0:
             errs.append("tail(%d): multiplicity must be >= 1" % p)

@@ -24,10 +24,9 @@ import re
 from typing import Dict, List, Optional, Union
 
 from .core import (OMEGA, Div, Mult, PPFormula, PrimeTailShape, Record,
-                   SzmielewDescription, TailSpec, Tor, atom_sort_key,
-                   check_atom, direct_sum, is_omega, is_prime,
-                   make_description, make_prime_tail, mult_add, prime_factors,
-                   validate)
+                   SzmielewDescription, TailSpec, Tor, _violations,
+                   atom_sort_key, check_atom, direct_sum, is_omega, is_prime,
+                   make_description, make_prime_tail, mult_add, prime_factors)
 
 
 class SourceSpan(Record):
@@ -75,6 +74,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.primes = set()     # every base checked prime so far
 
     def peek(self) -> str:
         return self.toks[self.i]
@@ -101,8 +101,10 @@ class _Parser:
     def prime(self) -> int:
         at = self.i
         n = self.nat()
-        if not is_prime(n):
-            self.fail("%d is not prime" % n, at)
+        if n not in self.primes:
+            if not is_prime(n):
+                self.fail("%d is not prime" % n, at)
+            self.primes.add(n)
         return n
 
     def mult(self) -> Mult:
@@ -287,8 +289,10 @@ class _Parser:
 
 
 def parse_group(text: str) -> SzmielewDescription:
-    desc = _Parser(text).group()
-    errs = validate(desc)
+    parser = _Parser(text)
+    desc = parser.group()
+    # the parser has checked most bases already; each is checked once
+    errs = _violations(desc, lambda p: p in parser.primes or is_prime(p))
     if errs:
         raise ParseError("; ".join(errs), SourceSpan(0, len(text)))
     return desc

@@ -9,11 +9,14 @@ evaluated on p's blocks alone, and a bounded memo keeps each prime's
 distinct columns, keyed by the prime, the bound and its blocks.  A profile
 is a tuple of column indices, one per prime and one for the prime-less
 blocks: the torsion profiles are the products of one class of equal
-columns per prime, each represented by its least m, and each new div
-column is the whole subgroup elsewhere.  The bitmask of the candidates
-holding each local is built per prime from those indices, one mask per
-column, not per block.  It explores families of those profiles
-depth-first with three prunings, all of which preserve exhaustiveness:
+columns per prime, each represented by its least m and kept as its index
+into the products, and each new div column is the whole subgroup
+elsewhere.  The bitmask of the candidates holding each local is built per
+prime from those indices, one mask per column, not per block.  Each slot
+mode ranks a block's locals, and a second bounded memo keeps those ranks
+per block and set of distinct locals, so a search only ors masks in rank
+order.  It explores families of those profiles depth-first with three
+prunings, all of which preserve exhaustiveness:
 
   - a formula of finite index can never appear in a valid family;
   - validity is closed downward, so supersets of invalid families die;
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -69,10 +73,10 @@ def _pool_primes(strict: SzmielewDescription) -> List[int]:
     return primes
 
 
-def _pool(desc: SzmielewDescription, B: int
+def _pool(strict: SzmielewDescription, B: int
           ) -> Tuple[List[int], Tuple[Block, ...]]:
-    """Pool primes and blocks; an over-cap pool is refused unbuilt."""
-    strict = normalize(desc)
+    """Pool primes and blocks of a strict form; an over-cap pool is refused
+    unbuilt."""
     primes = _pool_primes(strict)
     n = len(primes)
     # (B+1)^n - 1 torsion products and B(B+1)/2 div atoms per prime
@@ -135,6 +139,11 @@ class _Pool:
     (not in the pool), the second least at the one prime where that is
     cheapest; with no second exponent anywhere it has no tor.  div(p, r, s)
     is the whole subgroup off p's blocks.
+
+    A torsion candidate is kept as its index into the class products, in
+    itertools.product order: counts[g] is group g's class count, ms[i] the
+    least m of product i, and order the products in search order, by
+    ascending m.  A candidate tuple is decoded only where one is read.
     """
 
     def __init__(self, primes: Sequence[int], B: int,
@@ -160,23 +169,52 @@ class _Pool:
             pdivs.append(firsts)
             wholes.append(whole)
 
-        # the class products, in itertools.product order; the first has
-        # every class of exponent 0, m = 1 until fixed up
+        # the first product has every class of exponent 0, m = 1 until
+        # fixed up; with no second exponent anywhere it is no tor
+        self.counts = [1] + [len(classes) for classes in pms]
         ms = [1]
         for classes in pms:
             ms = [m * pm for m in ms for pm in classes]
         ms[0] = min(nexts, default=1)
-        cands = itertools.product((0,), *[range(len(c)) for c in pms])
-        self.tors = sorted(zip(ms, cands), key=itemgetter(0))[not nexts:]
+        self.ms = ms
+        self.order = sorted(range(len(ms)), key=ms.__getitem__)[not nexts:]
 
+        # a div candidate that is a class product is a tor already, unless
+        # it is the first product and that has no tor
         self.divs: List[Tuple[Div, tuple]] = []
-        seen = {cand for _m, cand in self.tors}
+        seen = set()
         for g, firsts in enumerate(pdivs, 1):
             for atom, c in firsts:
                 cand = (*wholes[:g], c, *wholes[g + 1:])
-                if cand not in seen:
+                if cand not in seen and not (
+                        all(map(int.__lt__, cand, self.counts))
+                        and (nexts or any(cand))):
                     seen.add(cand)
                     self.divs.append((atom, cand))
+
+    def decode(self, i: int) -> tuple:
+        """The candidate tuple of class product i."""
+        out = []
+        for n in reversed(self.counts):
+            i, c = divmod(i, n)
+            out.append(c)
+        return tuple(reversed(out))
+
+    @property
+    def tors(self) -> List[Tuple[int, tuple]]:
+        """(m, candidate) per torsion candidate, in search order."""
+        return [(self.ms[i], self.decode(i)) for i in self.order]
+
+    def cand(self, ci: int) -> tuple:
+        """Candidate ci of the search: the divs, then the tors."""
+        if ci < len(self.divs):
+            return self.divs[ci][1]
+        return self.decode(self.order[ci - len(self.divs)])
+
+    def formula(self, ci: int) -> PPFormula:
+        if ci < len(self.divs):
+            return PPFormula.of(self.divs[ci][0])
+        return tor(self.ms[self.order[ci - len(self.divs)]])
 
     def key(self, cand: tuple) -> tuple:
         """The candidate's locals, in block order."""
@@ -188,41 +226,54 @@ class _Pool:
 
     def holders(self) -> List[Dict[object, int]]:
         """Per block, each distinct local with the bitmask of the candidates
-        holding it; bit ci of a mask is candidate ci of divs + tors, the
-        order in which the search tries them.
+        holding it; bit ci of a mask is candidate ci of the search.
 
         Per group, the few div candidates set their bits one at a time.
-        The tors' column indices there are torsion classes: one code string
-        of them is translated once per class.  Each column's mask is then
-        or-ed into the holders of the group's blocks."""
+        The tors' classes there repeat with a period in product order: one
+        code string of them, permuted to search order, is translated once
+        per class.  Each column's mask is then or-ed into the holders of the
+        group's blocks."""
         held: List[Dict[object, int]] = [{} for _ in range(self.size)]
         shift = len(self.divs)
-        for g, (bis, cols) in enumerate(zip(self.groups, self.cols)):
+        # the last tor first: bit ci of a mask is tor ci
+        pick = itemgetter(*reversed(self.order)) if self.order else None
+        stride = len(self.ms)
+        for g, (bis, cols, n) in enumerate(zip(self.groups, self.cols,
+                                               self.counts)):
+            stride //= n
             if not bis:
                 continue
             masks: Dict[int, int] = {}
             for ci, (_atom, cand) in enumerate(self.divs):
                 masks[cand[g]] = masks.get(cand[g], 0) | 1 << ci
-            # the last tor first: bit ci of a mask is tor ci
-            text = "".join([chr(cand[g]) for _m, cand in reversed(self.tors)])
-            codes = "".join(sorted(set(text)))
-            for j, code in enumerate(codes):
-                bits = "0" * j + "1" + "0" * (len(codes) - j - 1)
-                mask = int(text.translate(str.maketrans(codes, bits)), 2)
-                masks[ord(code)] = masks.get(ord(code), 0) | mask << shift
+            if pick:
+                period = "".join([chr(c) * stride for c in range(n)])
+                text = "".join(pick(period * (len(self.ms) // len(period))))
+                for c, table in enumerate(_class_tables(n)):
+                    mask = int(text.translate(table), 2)
+                    if mask:
+                        masks[c] = masks.get(c, 0) | mask << shift
             for c, mask in masks.items():
                 for bi, v in zip(bis, cols[c]):
                     held[bi][v] = held[bi].get(v, 0) | mask
         return held
 
 
+@functools.lru_cache(maxsize=64)
+def _class_tables(n: int) -> Tuple[dict, ...]:
+    """Per class c of n, the table that turns class codes into c's bits."""
+    codes = "".join(map(chr, range(n)))
+    return tuple(str.maketrans(codes, "0" * c + "1" + "0" * (n - c - 1))
+                 for c in range(n))
+
+
 def candidate_pool(desc: SzmielewDescription, B: int) -> List[PPFormula]:
     """Canonical single-atom pool plus coprime tor-products, profile-deduped."""
     if B < 1:
         raise ValueError("pool bound must be >= 1")
-    primes, blocks = _pool(desc, B)
+    primes, blocks = _pool(normalize(desc), B)
     pool = _Pool(primes, B, blocks)
-    return ([tor(m) for m, _cand in pool.tors]
+    return ([tor(pool.ms[i]) for i in pool.order]
             + [PPFormula.of(atom) for atom, _cand in pool.divs])
 
 
@@ -266,107 +317,52 @@ class BreadthResult(Record):
 # Slot modes
 #
 # A slot is one way a family member can be the strict extreme at a block;
-# KINDS[kind].modes(mult) names the modes of a block.  A mode gives
-# occupies(mult, v), whether a member with local v can hold the slot;
-# beats(mult, vx, vy), whether member y loses to the occupant x; and
-# loser(mult, vals), a test of whether a local loses to some occupant with
-# a local in vals.  Each test reads the local of one block only, so
-# breadth_search runs each test once per distinct local: it keeps, per
-# block, the bitmask of the candidates holding each local, and solve prunes
-# its slot domains by and-ing such masks.  It then splits the live mask on
-# the masks of its slot blocks and names each part by its lowest bit; the
-# member search prunes the domains of those names with one beats mask per
-# slot and local.
+# KINDS[kind].modes(mult) names the modes of a block.  A mode ranks the
+# locals of its block: a member holds the slot when its local outranks the
+# whole, and it beats every member whose local it outranks.  One rule
+# narrows this: a finite-multiplicity tail's offset slot needs every bound
+# unbounded, the occupant's own included, so only such locals count there.
+# Each rank reads the local of one block only, so _block_table ranks a
+# block's distinct locals once, and breadth_search keeps, per block, the
+# bitmask of the candidates holding each local.  Per slot, prefix and
+# suffix ors of those masks over the ranks give the candidates a local
+# beats and those that beat it; solve prunes its slot domains by and-ing
+# such masks.  It then splits the live mask on the masks of its slot blocks
+# and names each part by its lowest bit.
 
-
-def _tf_key(v):
-    return (1, 0) if v is None else (0, v)
-
-
-class _Deepest:
-    """Unique deepest on an omega chain; the zero subgroup (None) is deepest."""
-
-    def occupies(self, mult, v):
-        return _tf_key(v) > (0, 0)
-
-    def beats(self, mult, vx, vy):
-        return _tf_key(vy) < _tf_key(vx)
-
-    def loser(self, mult, vals):
-        top = max(_tf_key(v) for v in vals)
-        return lambda v: _tf_key(v) < top
-
-
-class _Degenerate:
-    """The member hits a degenerate local that every other member avoids."""
-
-    def __init__(self, hits, clear):
-        self.hits, self.clear = hits, clear
-
-    def occupies(self, mult, v):
-        return self.hits(v)
-
-    def beats(self, mult, vx, vy):
-        return self.clear(vy)
-
-    def loser(self, mult, vals):
-        return self.clear
-
-
-class _MinBound:
-    """Unique minimal torsion bound on an omega divisible block."""
-
-    def occupies(self, mult, v):
-        return v is not None
-
-    def beats(self, mult, vx, vy):
-        return vy is None or vy > vx
-
-    def loser(self, mult, vals):
-        mn = min(vals)
-        return lambda v: v is None or v > mn
-
-
-class _TailBound:
-    """Unique minimal torsion bound on a tail."""
-
-    def occupies(self, mult, v):
-        return v[1] is not None
-
-    def beats(self, mult, vx, vy):
-        return vy[1] is None or vy[1] > vx[1]
-
-    def loser(self, mult, vals):
-        mn = min(v[1] for v in vals)
-        return lambda v: v[1] is None or v[1] > mn
-
-
-class _TailOffset:
-    """Unique maximal depth offset on a tail.  A finite-multiplicity tail
-    additionally needs every bound unbounded, including the occupant's own."""
-
-    def occupies(self, mult, v):
-        return v[0] >= 1 and (is_omega(mult) or v[1] is None)
-
-    def beats(self, mult, vx, vy):
-        return vy[0] < vx[0] and (is_omega(mult) or vy[1] is None)
-
-    def loser(self, mult, vals):
-        top = max(v[0] for v in vals)
-        if is_omega(mult):
-            return lambda v: v[0] < top
-        return lambda v: v[0] < top and v[1] is None
-
-
-_MODES = {
-    "max": _Deepest(),
-    "tfzero": _Degenerate(lambda v: v is None, lambda v: v is not None),
-    "divzero": _Degenerate(lambda v: v is not None, lambda v: v is None),
-    "bool": _Degenerate(lambda v: v is False, lambda v: v is True),
-    "divmin": _MinBound(),
-    "tailb": _TailBound(),
-    "taila": _TailOffset(),
+_RANKS = {
+    "max": lambda v: math.inf if v is None else v,   # None: the zero subgroup
+    "tfzero": lambda v: v is None,
+    "divzero": lambda v: v is not None,
+    "bool": lambda v: v is False,
+    "divmin": lambda v: -math.inf if v is None else -v,
+    "tailb": lambda v: -math.inf if v[1] is None else -v[1],
+    "taila": lambda v: v[0],
 }
+
+BLOCK_MEMO = 4096     # the (block, locals) tables that _block_table keeps
+
+
+@functools.lru_cache(maxsize=BLOCK_MEMO)
+def _block_table(block: Block, vals: frozenset):
+    """The locals in vals of infinite index in the whole block, and per mode
+    of the block, the locals that count there in tie groups of ascending
+    rank, with the number of groups that do not outrank the whole."""
+    kind, data, mult = block
+    entry = KINDS[kind]
+    w = entry.whole
+    infinite = tuple(v for v in vals
+                     if v != w and entry.index(data, mult, w, v) is None)
+    tables = []
+    for name in entry.modes(mult):
+        rank = _RANKS[name]
+        counted = [v for v in vals if name != "taila" or is_omega(mult)
+                   or v[1] is None]
+        groups = [tuple(vs) for _r, vs in
+                  itertools.groupby(sorted(counted, key=rank), key=rank)]
+        tables.append((tuple(groups),
+                       sum(rank(vs[0]) <= rank(w) for vs in groups)))
+    return infinite, tuple(tables)
 
 
 def _slot_bound(blocks: Tuple[Block, ...]) -> int:
@@ -387,120 +383,99 @@ def _slot_bound(blocks: Tuple[Block, ...]) -> int:
     return total
 
 
-def _slots_of(blocks: Tuple[Block, ...]) -> List[tuple]:
-    """One (block index, mode) entry per slot of each block."""
-    return [(bi, _MODES[name]) for bi, (kind, _data, mult) in enumerate(blocks)
-            for name in KINDS[kind].modes(mult)]
-
-
 def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResult:
+    return _breadth_search(normalize(desc), B, maxK)
+
+
+def _breadth_search(strict: SzmielewDescription, B: int, maxK: int
+                    ) -> BreadthResult:
     if B < 1 or maxK < 1:
         raise ValueError("pool bound and depth cap must be >= 1")
-    primes, blocks = _pool(desc, B)
+    primes, blocks = _pool(strict, B)
     # a block without slots (a finite-multiplicity cyclic block) can never
     # contribute an infinite index, so validity only depends on the locals
     # of the other blocks
     blocks = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
-    whole = _locals(blocks, PPFormula.top())
 
     # the pool's profiles, divisibility candidates first as the search tries
     # them, and per block the bitmask of the candidates holding each local
     pool = _Pool(primes, B, blocks)
-    cands = pool.divs + pool.tors
     holders = pool.holders()
 
-    def holding(bi: int, test) -> int:
-        # one block's masks are disjoint, so their sum is their union
-        return sum(m for v, m in holders[bi].items() if test(v))
-
     # a finite-index subgroup is never a member: only the candidates whose
-    # local has infinite index in the whole at some block can occupy a slot
+    # local has infinite index in the whole at some block can occupy a slot.
+    # Per slot: its block; per tie group, the candidates holding it, those
+    # it beats, and those that hold the slot and beat it, then a 0 for the
+    # locals that count nowhere; and the candidates that outrank the whole
     infinite = 0
-    for bi, ((kind, data, mult), w) in enumerate(zip(blocks, whole)):
-        infinite |= holding(bi, lambda v: v != w and
-                            KINDS[kind].index(data, mult, w, v) is None)
+    slots = []
+    for bi, (block, held) in enumerate(zip(blocks, holders)):
+        inf_vals, tables = _block_table(block, frozenset(held))
+        infinite |= sum(map(held.__getitem__, inf_vals))
+        for groups, floor in tables:
+            masks = [sum(map(held.__getitem__, vs)) for vs in groups]
+            below = [0, *itertools.accumulate(masks, int.__or__)]
+            above = [*itertools.accumulate(reversed(masks), int.__or__,
+                                           initial=0)][::-1]
+            wins = [above[max(g, floor)] for g in range(1, len(above))]
+            slots.append((bi, masks, below, wins + [0], above[floor]))
+    slots = [(*slot[:4], infinite & slot[4]) for slot in slots]
     ub = min(_slot_bound(blocks), infinite.bit_count())
     target = min(maxK, ub)
-    slots = _slots_of(blocks)
-    occupiable = [
-        infinite & holding(bi, lambda v: mode.occupies(blocks[bi][2], v))
-        for bi, mode in slots]
+
+    def group(slot: tuple, bit: int) -> int:
+        """The slot's tie group holding the candidate with this bit, or -1."""
+        return next((g for g, m in enumerate(slot[1]) if m & bit), -1)
 
     def family_valid(idxs: List[int]) -> bool:
-        locs = [pool.key(cands[i][1]) for i in idxs]
+        locs = [pool.key(pool.cand(i)) for i in idxs]
         return all(_index(blocks, rest, full).is_infinite
                    for rest, full in _leave_one_out(blocks, locs))
-
-    # per slot, one mask per local, built once per search: the candidates
-    # whose local at the slot's block loses to an occupant with local vx,
-    # and those that occupy the slot and beat a member with local vc
-    lost: Dict[Tuple[int, object], int] = {}
-    won: Dict[Tuple[int, object], int] = {}
-
-    def losing(si: int, vx) -> int:
-        if (si, vx) not in lost:
-            bi, mode = slots[si]
-            mult = blocks[bi][2]
-            lost[si, vx] = holding(bi, lambda v: mode.beats(mult, vx, v))
-        return lost[si, vx]
-
-    def winning(si: int, vc) -> int:
-        if (si, vc) not in won:
-            bi, mode = slots[si]
-            mult = blocks[bi][2]
-            won[si, vc] = holding(bi, lambda v: (mode.occupies(mult, v)
-                                                 and mode.beats(mult, v, vc)))
-        return won[si, vc]
-
-    def local(bi: int, bit: int):
-        """The local at block bi of the candidate with this bit."""
-        return next(v for v, m in holders[bi].items() if m & bit)
 
     def solve(chosen_slots: Tuple[int, ...]) -> Optional[List[int]]:
         """Find a family occupying exactly these slots, or prove none exists.
 
         Each domain, a bitmask over the candidates, starts as those that can
-        occupy its slot and is pruned to a fixed point.  Only if none empties
-        are members searched.  Validity at these slots only depends on the
-        locals at the slot blocks, so the live candidates fall into classes
-        that share those locals, and each class is named by its lowest bit:
-        a domain keeps only the names, and members are tried by ascending
-        bit.  Any family witnessed elsewhere is found under the slot set
-        naming its actual witness blocks.
+        occupy its slot and is pruned to a fixed point: only the losers to
+        the top local a domain still holds survive in the others.  Only if
+        none empties are members searched.  Validity at these slots only
+        depends on the locals at the slot blocks, so the live candidates
+        fall into classes that share those locals, and each class is named
+        by its lowest bit: a domain keeps only the names, and members are
+        tried by ascending bit.  Any family witnessed elsewhere is found
+        under the slot set naming its actual witness blocks.
         """
         S = [slots[si] for si in chosen_slots]
-        mults = [blocks[bi][2] for bi, _mode in S]
-        modes = [mode for _bi, mode in S]
         t = len(S)
 
-        masks = [occupiable[si] for si in chosen_slots]
+        doms = [slot[4] for slot in S]
         changed = True
         while changed:
             changed = False
-            for k in range(t):
-                if not masks[k]:
+            for k, (_bi, masks, below, _wins, _occ) in enumerate(S):
+                if not doms[k]:
                     return None
-                bi = S[k][0]
-                ok = modes[k].loser(mults[k], [v for v, m in holders[bi].items()
-                                               if m & masks[k]])
-                keep = holding(bi, ok)
+                g = len(masks) - 1
+                while not masks[g] & doms[k]:
+                    g -= 1
+                keep = below[g]
                 for j in range(t):
-                    if j != k and masks[j] & keep != masks[j]:
-                        masks[j] &= keep
+                    if j != k and doms[j] & keep != doms[j]:
+                        doms[j] &= keep
                         changed = True
 
         live = 0
-        for d in masks:
+        for d in doms:
             live |= d
         parts = [live]
-        for bi in {bi for bi, _mode in S}:
+        for bi in {slot[0] for slot in S}:
             parts = [sub for part in parts for m in holders[bi].values()
                      if (sub := part & m)]
         reps = 0
         for part in parts:
             reps |= part & -part
-        domains = [d & reps for d in masks]
-        order = sorted(range(t), key=lambda k: domains[k].bit_count())
+        doms = [d & reps for d in doms]
+        order = sorted(range(t), key=lambda k: doms[k].bit_count())
 
         def assign(step: int, doms: List[int], picked: List[int]
                    ) -> Optional[List[int]]:
@@ -508,16 +483,14 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
                 idxs = sorted(bit.bit_length() - 1 for bit in picked)
                 return idxs if family_valid(idxs) else None
             k, later = order[step], order[step + 1:]
-            si, bi = chosen_slots[k], S[k][0]
             todo = doms[k]
             while todo:
                 low = todo & -todo
                 todo ^= low
-                beaten = losing(si, local(bi, low)) & ~low if later else 0
+                beaten = S[k][2][group(S[k], low)] if later else 0
                 nxt = list(doms)
                 for lk in later:
-                    nxt[lk] &= beaten & winning(chosen_slots[lk],
-                                                local(S[lk][0], low))
+                    nxt[lk] &= beaten & S[lk][3][group(S[lk], low)]
                     if not nxt[lk]:
                         break
                 else:
@@ -526,7 +499,7 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
                         return got
             return None
 
-        return assign(0, domains, [])
+        return assign(0, doms, [])
 
     # validity is closed downward, so the depth is the highest level that
     # holds a family: scan from the cap down and stop at the first
@@ -545,8 +518,7 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
         if best:
             break
     capped = len(best) >= maxK and maxK < ub
-    witness = tuple(PPFormula.of(cands[i][0]) if i < len(pool.divs)
-                    else tor(cands[i][0]) for i in best)
+    witness = tuple(pool.formula(i) for i in best)
     return BreadthResult(len(best), witness, B, exhausted=not capped)
 
 

@@ -175,9 +175,8 @@ def _value(strict: SzmielewDescription, ds: DerivedSets, eps: Dict[str, int]
     return value, case
 
 
-def _rank_of(desc: SzmielewDescription) -> Tuple[DerivedSets, Optional[int]]:
-    """The derived sets and the dp-rank, without witnesses."""
-    strict = normalize(desc)
+def _rank_of(strict: SzmielewDescription) -> Tuple[DerivedSets, Optional[int]]:
+    """The derived sets and the dp-rank of a strict form, without witnesses."""
     ds = _derived_sets(strict)
     return ds, _value(strict, ds, _epsilons(strict, ds))[0]
 
@@ -192,7 +191,7 @@ def dp_rank(desc: SzmielewDescription) -> RankReport:
 
 
 def classify(desc: SzmielewDescription) -> Classification:
-    ds, dp = _rank_of(desc)
+    ds, dp = _rank_of(normalize(desc))
     strong = _strong(ds)
     finite_dp = _finite_dp(ds)
     if finite_dp and not strong:
@@ -210,7 +209,7 @@ class VcReport(Record):
 
 
 def vc_density(desc: SzmielewDescription, ms: Iterable[int]) -> VcReport:
-    dp = _rank_of(desc)[1]
+    dp = _rank_of(normalize(desc))[1]
     out: Dict[int, Optional[int]] = {}
     for m in ms:
         if m < 1:

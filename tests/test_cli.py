@@ -120,6 +120,22 @@ class TestHumanOutput:
         assert code == 0, err
         assert "20 descriptions checked, zero disagreements" in out
 
+    def test_fuzz_normalizes_each_description_once(self, capsys, monkeypatch):
+        # the closed form and the oracle both read fuzz's strict form
+        calls = []
+
+        def counting(desc):
+            calls.append(desc)
+            return normalize(desc)
+
+        for name in ("szk.cli", "szk.rank", "szk.oracle", "szk.normalize"):
+            monkeypatch.setattr(importlib.import_module(name), "normalize",
+                                counting)
+        code, out, err = run(capsys, "fuzz", "--count", "20")
+        assert code == 0, err
+        assert "20 descriptions checked, zero disagreements" in out
+        assert len(calls) == 20
+
 
 class TestExitCodes:
     def test_parse_error(self, capsys):
@@ -529,6 +545,24 @@ class TestBoundedTime:
         assert time.perf_counter() - t0 < 0.5
         assert (len(desc.cyclic), len(desc.tf), len(desc.div),
                 len(desc.cyclic_tail)) == (1000, 1000, 1000, 1000)
+
+    def test_each_prime_checked_once(self, monkeypatch):
+        # the parser checks each base, and validate does not check it again
+        primes = [p for p in range(2, 90000) if is_prime(p)][:8000]
+        text = " + ".join("Z(%d^2)^w" % p for p in primes)
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return is_prime(n)
+
+        for name in ("szk.core", "szk.dsl"):
+            monkeypatch.setattr(importlib.import_module(name), "is_prime",
+                                counting)
+        t0 = time.perf_counter()
+        desc = parse_group(text)
+        assert time.perf_counter() - t0 < 0.5
+        assert len(desc.cyclic) == 8000 and len(calls) == 8000
 
     def test_long_formula(self):
         text = " & ".join("tor(%d)" % n if n % 2 else "div(%d,%d,0)" % (p, n)

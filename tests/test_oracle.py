@@ -7,7 +7,7 @@ import time
 import pytest
 
 from szk import corpus, oracle
-from szk.core import Div, PPFormula, div, is_omega, tor
+from szk.core import OMEGA, Div, PPFormula, div, is_omega, make_prime_tail, tor
 from szk.dsl import parse_formula, parse_group, render_formula
 from szk.normalize import normalize
 from szk.oracle import (PoolOverflowError, breadth_search, candidate_pool,
@@ -86,10 +86,107 @@ def brute_force_holders(size, keys):
     return held
 
 
+# The reference's slot modes, one predicate class per mode: occupies(mult,
+# v), whether a member with local v can hold the slot; beats(mult, vx, vy),
+# whether member y loses to the occupant x; and loser(mult, vals), a test of
+# whether a local loses to some occupant with a local in vals.
+
+
+def _tf_key(v):
+    return (1, 0) if v is None else (0, v)
+
+
+class _Deepest:
+    """Unique deepest on an omega chain; the zero subgroup (None) is deepest."""
+
+    def occupies(self, mult, v):
+        return _tf_key(v) > (0, 0)
+
+    def beats(self, mult, vx, vy):
+        return _tf_key(vy) < _tf_key(vx)
+
+    def loser(self, mult, vals):
+        top = max(_tf_key(v) for v in vals)
+        return lambda v: _tf_key(v) < top
+
+
+class _Degenerate:
+    """The member hits a degenerate local that every other member avoids."""
+
+    def __init__(self, hits, clear):
+        self.hits, self.clear = hits, clear
+
+    def occupies(self, mult, v):
+        return self.hits(v)
+
+    def beats(self, mult, vx, vy):
+        return self.clear(vy)
+
+    def loser(self, mult, vals):
+        return self.clear
+
+
+class _MinBound:
+    """Unique minimal torsion bound on an omega divisible block."""
+
+    def occupies(self, mult, v):
+        return v is not None
+
+    def beats(self, mult, vx, vy):
+        return vy is None or vy > vx
+
+    def loser(self, mult, vals):
+        mn = min(vals)
+        return lambda v: v is None or v > mn
+
+
+class _TailBound:
+    """Unique minimal torsion bound on a tail."""
+
+    def occupies(self, mult, v):
+        return v[1] is not None
+
+    def beats(self, mult, vx, vy):
+        return vy[1] is None or vy[1] > vx[1]
+
+    def loser(self, mult, vals):
+        mn = min(v[1] for v in vals)
+        return lambda v: v[1] is None or v[1] > mn
+
+
+class _TailOffset:
+    """Unique maximal depth offset on a tail.  A finite-multiplicity tail
+    additionally needs every bound unbounded, including the occupant's own."""
+
+    def occupies(self, mult, v):
+        return v[0] >= 1 and (is_omega(mult) or v[1] is None)
+
+    def beats(self, mult, vx, vy):
+        return vy[0] < vx[0] and (is_omega(mult) or vy[1] is None)
+
+    def loser(self, mult, vals):
+        top = max(v[0] for v in vals)
+        if is_omega(mult):
+            return lambda v: v[0] < top
+        return lambda v: v[0] < top and v[1] is None
+
+
+MODES = {
+    "max": _Deepest(),
+    "tfzero": _Degenerate(lambda v: v is None, lambda v: v is not None),
+    "divzero": _Degenerate(lambda v: v is not None, lambda v: v is None),
+    "bool": _Degenerate(lambda v: v is False, lambda v: v is True),
+    "divmin": _MinBound(),
+    "tailb": _TailBound(),
+    "taila": _TailOffset(),
+}
+
+
 def reference_breadth_search(desc, B, maxK):
     """The search that projects every candidate onto the slot blocks on each
-    solve call, and filters the pool by one index computation per profile."""
-    primes, blocks = oracle._pool(desc, B)
+    solve call, filters the pool by one index computation per profile, and
+    tests each slot by its mode's predicates."""
+    primes, blocks = oracle._pool(normalize(desc), B)
     blocks = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
     whole = _locals(blocks, PPFormula.top())
     cands = [(f, key) for f, key in brute_force_profiles(primes, B, blocks)
@@ -98,7 +195,8 @@ def reference_breadth_search(desc, B, maxK):
     cands.sort(key=lambda fk: not isinstance(fk[0].atoms[0], Div))
     ub = min(oracle._slot_bound(blocks), len(cands))
     target = min(maxK, ub)
-    slots = oracle._slots_of(blocks)
+    slots = [(bi, MODES[name]) for bi, (kind, _data, mult) in enumerate(blocks)
+             for name in KINDS[kind].modes(mult)]
 
     def family_valid(idxs):
         locs = [cands[i][1] for i in idxs]
@@ -265,7 +363,7 @@ class TestProfileSpacePool:
         checked = 0
         for desc in self.groups():
             for B in range(1, desc.max_exponent() + 3):
-                primes, blocks = oracle._pool(desc, B)
+                primes, blocks = oracle._pool(normalize(desc), B)
                 # candidate_pool's blocks, and breadth_search's slotted ones
                 slotted = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
                 for bl in (blocks, slotted):
@@ -321,7 +419,7 @@ class TestPoolTimeBudget:
         r = breadth_search(g, 7, dp + 1)
         assert time.perf_counter() - start < 0.1
         assert (r.depth, r.exhausted) == (dp, True)
-        primes, blocks = oracle._pool(g, 7)
+        primes, blocks = oracle._pool(normalize(g), 7)
         slotted = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
         pool = oracle._Pool(primes, 7, slotted)
         assert len(pool.divs) + len(pool.tors) == 2586
@@ -467,11 +565,10 @@ class TestSearchMatchesReference:
             desc = corpus.random_description(rng)
             self.check(desc, desc.max_exponent() + 2, dp_rank(desc).dp + 1)
 
-    def test_prime_memo_forward_and_reversed(self):
+    @staticmethod
+    def memo_cases():
         # one prime's blocks at several B, and the same blocks beside
-        # different other primes, after the corpus: answers never depend on
-        # what the memo holds
-        oracle._prime_columns.cache_clear()
+        # different other primes, after the corpus
         rng = random.Random(4242)
         cases = []
         for _ in range(60):
@@ -481,19 +578,39 @@ class TestSearchMatchesReference:
                      "Z(2^3)^w + Z_(2)^w + Z_(5)^w + tail(3)",
                      "Z(2^3)^w + Z_(2)^w + forall_p{Z_(P)}"]:
             cases += [(parse_group(text), B, 4) for B in (1, 2, 3, 5)]
+        return cases
+
+    def replay(self, memo):
+        """Check the cases forward from an empty memo, then in reverse:
+        answers never depend on what the memo holds."""
+        memo.cache_clear()
+        cases = self.memo_cases()
         for case in cases:
             self.check(*case)
-        forward = oracle._prime_columns.cache_info()
+        forward = memo.cache_info()
         assert forward.hits > 0
         for case in reversed(cases):
             self.check(*case)
-        info = oracle._prime_columns.cache_info()
+        info = memo.cache_info()
         assert info.misses == forward.misses and info.hits > forward.hits
 
-    def test_prime_memo_is_bounded(self):
-        maxsize = oracle._prime_columns.cache_info().maxsize
-        assert maxsize == oracle.PRIME_MEMO
+    def test_prime_memo_forward_and_reversed(self):
+        self.replay(oracle._prime_columns)
+
+    def test_block_memo_forward_and_reversed(self):
+        self.replay(oracle._block_table)
+
+    @staticmethod
+    def bounded(memo, bound):
+        maxsize = memo.cache_info().maxsize
+        assert maxsize == bound
         assert isinstance(maxsize, int) and 0 < maxsize <= 10 ** 5
+
+    def test_prime_memo_is_bounded(self):
+        self.bounded(oracle._prime_columns, oracle.PRIME_MEMO)
+
+    def test_block_memo_is_bounded(self):
+        self.bounded(oracle._block_table, oracle.BLOCK_MEMO)
 
     def test_four_pool_primes_at_b0(self):
         # three listed primes and a prime tail: the slowest stratum of fuzz
@@ -515,7 +632,7 @@ class TestSearchMatchesReference:
         # 6 is the CLI default
         for desc in finite_dp_corpus[:40] + mixed_corpus[:40]:
             B = min(normalize(desc).max_exponent() + 2, 4)
-            primes, blocks = oracle._pool(desc, B)
+            primes, blocks = oracle._pool(normalize(desc), B)
             slotted = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
             for maxK in (oracle._slot_bound(slotted) + 2, 6):
                 self.check(desc, B, maxK)
@@ -524,7 +641,7 @@ class TestSearchMatchesReference:
 
     def test_slowest_fuzz_shape(self):
         g = parse_group(P98_SHAPE)
-        primes, blocks = oracle._pool(g, 7)
+        primes, blocks = oracle._pool(normalize(g), 7)
         slotted = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
         assert len(oracle._Pool(primes, 7, slotted).tors) == 4095
         for maxK in (dp_rank(g).dp + 1, 6):
@@ -562,6 +679,87 @@ class TestSearchMatchesReference:
         r = breadth_search(parse_group(text), 1, 1)
         assert (r.depth, r.exhausted) == (1, True)
         self.check(parse_group(text), 1, 1)
+
+
+def every_local(block, B):
+    """Every local coordinate a block can take with exponents up to B."""
+    kind, data, _mult = block
+    depths = list(range(B + 1))
+    if kind == "cyc":
+        return list(range(data[1] + 1))
+    if kind in ("tf", "div"):
+        return depths + [None]
+    if kind == "tail":
+        return [(a, b) for a in depths for b in depths + [None]]
+    return [True, False]
+
+
+# one block of each kind at B <= 4, at finite and omega multiplicities
+SHAPE = make_prime_tail({1: 1}, 1, 0)
+TABLE_BLOCKS = [(kind, data, mult) for kind, data in [
+    ("cyc", (2, 3)), ("tf", (2,)), ("div", (3,)), ("q", ()),
+    ("tail", (2, 4)), ("tail", (5, 0)), ("ptail", (SHAPE, (2,)))]
+    for mult in (1, 3, OMEGA) if KINDS[kind].modes(mult)]
+
+
+class TestRankTables:
+    """The search's rank tables give what the reference's predicates give:
+    occupies, beats against an occupant, and loser against occupants."""
+
+    def check(self, block, vals):
+        kind, data, mult = block
+        entry = KINDS[kind]
+        infinite, tables = oracle._block_table(block, frozenset(vals))
+        assert set(infinite) == {
+            v for v in vals if v != entry.whole
+            and entry.index(data, mult, entry.whole, v) is None}
+        for name, (groups, floor) in zip(entry.modes(mult), tables):
+            mode = MODES[name]
+            rank = {v: g for g, vs in enumerate(groups) for v in vs}
+            assert sorted(rank, key=repr) == sorted(set(vals) & set(rank),
+                                                    key=repr)
+            occupants = [v for v in vals if mode.occupies(mult, v)]
+            assert occupants == [v for v in vals if rank.get(v, -1) >= floor]
+            for x in occupants:
+                for y in vals:
+                    assert mode.beats(mult, x, y) == (
+                        y in rank and rank[y] < rank[x]), (block, name, x, y)
+            subsets = ([[x] for x in occupants]
+                       + [list(c) for c in itertools.combinations(occupants, 2)]
+                       + [occupants])
+            for sub in filter(None, subsets):
+                loses = mode.loser(mult, sub)
+                top = max(rank[x] for x in sub)
+                for v in vals:
+                    assert loses(v) == (v in rank and rank[v] < top), (
+                        block, name, sub, v)
+
+    @pytest.mark.parametrize("block", TABLE_BLOCKS, ids=[
+        "%s%s-%s" % (kind, data[0] if KINDS[kind].has_prime else "",
+                     "w" if is_omega(mult) else mult)
+        for kind, data, mult in TABLE_BLOCKS])
+    def test_tables_give_the_predicates(self, block):
+        rng = random.Random(31)
+        for B in range(1, 5):
+            vals = every_local(block, B)
+            self.check(block, vals)
+            # the whole, the None extremes and tie partners missing
+            for _ in range(8):
+                self.check(block, rng.sample(vals, rng.randint(1, len(vals))))
+
+    def test_tail_ties(self):
+        # tailb ties the offsets of one bound, taila the bounds of one offset
+        block = ("tail", (2, 4), OMEGA)
+        _inf, ((bgroups, _bf), (agroups, _af)) = oracle._block_table(
+            block, frozenset(every_local(block, 2)))
+        assert [len(vs) for vs in bgroups] == [3, 3, 3, 3]
+        assert [len(vs) for vs in agroups] == [4, 4, 4]
+        # a finite-multiplicity tail's offset slot counts unbounded locals only
+        block = ("tail", (2, 4), 2)
+        _inf, (_b, (agroups, floor)) = oracle._block_table(
+            block, frozenset(every_local(block, 2)))
+        assert agroups == (((0, None),), ((1, None),), ((2, None),))
+        assert floor == 1
 
 
 class TestInfiniteRankSide:

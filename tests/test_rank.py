@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szk import corpus, rank
+from szk.core import direct_sum
 from szk.dsl import parse_group
 from szk.oracle import verify_inp
 from szk.rank import (classify, dp_rank, gap_count, seed_witnesses, vc_density)
@@ -116,12 +117,41 @@ class TestCorpusProperties:
     @given(st.integers(0, 2 ** 32 - 1))
     def test_direct_sum_subadditive(self, seed):
         rng = random.Random(seed)
-        from szk.core import direct_sum
         a = corpus.random_description(rng)
         b = corpus.random_description(rng)
         da, db = dp_rank(a).dp, dp_rank(b).dp
         ds = dp_rank(direct_sum(a, b)).dp
         assert max(da, db) <= ds <= da + db
+
+    def test_direct_sum_relations_on_mixed_groups(self, mixed_corpus,
+                                                  finite_dp_corpus):
+        # strong(A + B) = strong(A) and strong(B), the same for finite dp,
+        # and dp(A + B) between max(dp(A), dp(B)) and their sum where finite
+        fixtures = ["forall_p{Z_(P)^w}", "forall_p{Z(P^inf)^w}",
+                    "forall_p{Z(P^1)^w}", "Z(1000003^2)^w",
+                    "Z(2305843009213693951^1)^w + Z_(3)", "tail(2,w)",
+                    "Z(2^1)^w + Z(8)^w + tail(3)"]
+        groups = (mixed_corpus + finite_dp_corpus
+                  + [parse_group(t) for t in fixtures])
+
+        def facts(desc):
+            ds, value = rank._rank_of(normalize_module.normalize(desc))
+            return rank._strong(ds), value
+
+        known = [facts(g) for g in groups]
+        rng = random.Random(20261019)
+        seen = set()
+        for _ in range(12000):
+            i, j = rng.randrange(len(groups)), rng.randrange(len(groups))
+            (sa, da), (sb, db) = known[i], known[j]
+            strong, value = facts(direct_sum(groups[i], groups[j]))
+            assert strong == (sa and sb), (groups[i], groups[j])
+            finite = da is not None and db is not None
+            assert (value is not None) == finite, (groups[i], groups[j])
+            if finite:
+                assert max(da, db) <= value <= da + db, (groups[i], groups[j])
+            seen.add((strong, finite))
+        assert seen == {(True, True), (True, False), (False, False)}
 
 
 class TestOnePass:
