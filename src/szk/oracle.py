@@ -11,12 +11,15 @@ is a tuple of column indices, one per prime and one for the prime-less
 blocks: the torsion profiles are the products of one class of equal
 columns per prime, each represented by its least m and kept as its index
 into the products, and each new div column is the whole subgroup
-elsewhere.  The bitmask of the candidates holding each local is built per
-prime from those indices, one mask per column, not per block.  Each slot
-mode ranks a block's locals, and a second bounded memo keeps those ranks
-per block and set of distinct locals, so a search only ors masks in rank
-order.  It explores families of those profiles depth-first with three
-prunings, all of which preserve exhaustiveness:
+elsewhere.  The torsion part depends only on each prime's least m per
+class, so a second bounded memo keeps, per such signature, the products in
+search order and per prime and class the bitmask of the products holding
+it; a search ors those masks, and the few div bits, into the holders of
+each local, one mask per column, not per block.  Each slot mode ranks a
+block's locals, and a third bounded memo keeps those ranks per block and
+set of distinct locals, so a search only ors masks in rank order.  It
+explores families of those profiles depth-first with three prunings, all
+of which preserve exhaustiveness:
 
   - a formula of finite index can never appear in a valid family;
   - validity is closed downward, so supersets of invalid families die;
@@ -37,6 +40,7 @@ import functools
 import itertools
 import math
 import os
+from array import array
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -123,6 +127,53 @@ def _prime_columns(p: int, B: int, blocks: Tuple[Tuple[str, tuple], ...]):
             tuple((atom, c) for c, atom in firsts.items()), whole_at)
 
 
+def _moduli(pms: Tuple[Tuple[int, ...], ...], m0: int) -> List[int]:
+    """The least m of each class product, in itertools.product order:
+    pms[g] holds the least m of each class of group g, and product 0 has
+    m0."""
+    ms = [1]
+    for classes in pms:
+        ms = [m * pm for m in ms for pm in classes]
+    ms[0] = m0
+    return ms
+
+
+PRODUCT_MEMO = 1024   # the torsion product spaces that _products keeps
+
+
+@functools.lru_cache(maxsize=PRODUCT_MEMO)
+def _products(pms: Tuple[Tuple[int, ...], ...], m0: int):
+    """The torsion class products of a pool, in search order.
+
+    pms[g] holds the least m of each class of group g, and m0 is the m of
+    product 0, the one of every class of exponent 0: 1 when it has no tor.
+    Products are numbered in itertools.product order.  Returns the products
+    by ascending m, as an array of their numbers, and per group and class
+    the bitmask of the products holding that class, bit j being the j-th
+    product of that order.
+    """
+    ms = _moduli(pms, m0)
+    order = sorted(range(len(ms)), key=ms.__getitem__)[m0 == 1:]
+    # a group's classes repeat with a period in product order: one code
+    # string of them, permuted to search order with the last product first,
+    # is translated once per class
+    pick = itemgetter(*reversed(order))
+    masks = []
+    stride = len(ms)
+    for classes in pms:
+        n = len(classes)
+        stride //= n
+        if n == 1:
+            masks.append(((1 << len(order)) - 1,))
+            continue
+        period = "".join([chr(c) * stride for c in range(n)])
+        text = "".join(pick(period * (len(ms) // len(period))))
+        zeros = dict.fromkeys(range(n), "0")
+        masks.append(tuple(int(text.translate({**zeros, c: "1"}), 2)
+                           for c in range(n)))
+    return array("I", order), tuple(masks)
+
+
 class _Pool:
     """The pool's distinct profiles on blocks, built one prime at a time.
 
@@ -141,9 +192,12 @@ class _Pool:
     is the whole subgroup off p's blocks.
 
     A torsion candidate is kept as its index into the class products, in
-    itertools.product order: counts[g] is group g's class count, ms[i] the
-    least m of product i, and order the products in search order, by
-    ascending m.  A candidate tuple is decoded only where one is read.
+    itertools.product order: pms[g] holds the least m of each class of
+    group g, the prime-less group's one class having m = 1, and counts[g]
+    their count.  The products in search order, by ascending m, and the
+    class masks come from _products, shared by every pool with the same
+    classes.  A candidate tuple and its m are decoded only where one is
+    read.
     """
 
     def __init__(self, primes: Sequence[int], B: int,
@@ -168,29 +222,37 @@ class _Pool:
             nexts += nxt
             pdivs.append(firsts)
             wholes.append(whole)
+        self.wholes = wholes
 
-        # the first product has every class of exponent 0, m = 1 until
-        # fixed up; with no second exponent anywhere it is no tor
-        self.counts = [1] + [len(classes) for classes in pms]
-        ms = [1]
-        for classes in pms:
-            ms = [m * pm for m in ms for pm in classes]
-        ms[0] = min(nexts, default=1)
-        self.ms = ms
-        self.order = sorted(range(len(ms)), key=ms.__getitem__)[not nexts:]
+        # the prime-less group has one class, of m = 1.  The first product
+        # has every class of exponent 0, m = 1 until fixed up; with no
+        # second exponent anywhere it is no tor
+        self.pms = ((1,), *pms)
+        self.counts = [*map(len, self.pms)]
+        self.m0 = min(nexts, default=1)
+        self.order, self.class_masks = _products(self.pms, self.m0)
 
-        # a div candidate that is a class product is a tor already, unless
-        # it is the first product and that has no tor
+        # a div candidate is the whole column off its own group g.  It is a
+        # class product, so a tor already, when every other whole column is
+        # a class and its column at g is one, unless that is product 0 with
+        # no tor; and it is the all-whole candidate when its column at g is
+        # the whole one, which is kept once
         self.divs: List[Tuple[Div, tuple]] = []
-        seen = set()
+        self.div_cols: List[Tuple[int, int]] = []
+        fits = list(map(int.__lt__, wholes, self.counts))
+        seen_whole = False
         for g, firsts in enumerate(pdivs, 1):
+            off = wholes[:g] + wholes[g + 1:]
+            tor_off = all(fits[:g] + fits[g + 1:])
             for atom, c in firsts:
-                cand = (*wholes[:g], c, *wholes[g + 1:])
-                if cand not in seen and not (
-                        all(map(int.__lt__, cand, self.counts))
-                        and (nexts or any(cand))):
-                    seen.add(cand)
-                    self.divs.append((atom, cand))
+                if tor_off and c < self.counts[g] and (nexts or c or any(off)):
+                    continue
+                if c == wholes[g]:
+                    if seen_whole:
+                        continue
+                    seen_whole = True
+                self.divs.append((atom, (*wholes[:g], c, *wholes[g + 1:])))
+                self.div_cols.append((g, c))
 
     def decode(self, i: int) -> tuple:
         """The candidate tuple of class product i."""
@@ -200,10 +262,17 @@ class _Pool:
             out.append(c)
         return tuple(reversed(out))
 
+    def m(self, i: int) -> int:
+        """The least m of class product i."""
+        if not i:
+            return self.m0
+        return math.prod(map(tuple.__getitem__, self.pms, self.decode(i)))
+
     @property
     def tors(self) -> List[Tuple[int, tuple]]:
         """(m, candidate) per torsion candidate, in search order."""
-        return [(self.ms[i], self.decode(i)) for i in self.order]
+        ms = _moduli(self.pms, self.m0)
+        return [(ms[i], self.decode(i)) for i in self.order]
 
     def cand(self, ci: int) -> tuple:
         """Candidate ci of the search: the divs, then the tors."""
@@ -214,7 +283,7 @@ class _Pool:
     def formula(self, ci: int) -> PPFormula:
         if ci < len(self.divs):
             return PPFormula.of(self.divs[ci][0])
-        return tor(self.ms[self.order[ci - len(self.divs)]])
+        return tor(self.m(self.order[ci - len(self.divs)]))
 
     def key(self, cand: tuple) -> tuple:
         """The candidate's locals, in block order."""
@@ -228,43 +297,36 @@ class _Pool:
         """Per block, each distinct local with the bitmask of the candidates
         holding it; bit ci of a mask is candidate ci of the search.
 
-        Per group, the few div candidates set their bits one at a time.
-        The tors' classes there repeat with a period in product order: one
-        code string of them, permuted to search order, is translated once
-        per class.  Each column's mask is then or-ed into the holders of the
+        A div candidate holds the whole column off its own group, so per
+        group every div's bit starts in the whole column and only the
+        group's own divs move theirs; the tors' class masks come from
+        _products.  Each column's mask is then or-ed into the holders of the
         group's blocks."""
         held: List[Dict[object, int]] = [{} for _ in range(self.size)]
         shift = len(self.divs)
-        # the last tor first: bit ci of a mask is tor ci
-        pick = itemgetter(*reversed(self.order)) if self.order else None
-        stride = len(self.ms)
-        for g, (bis, cols, n) in enumerate(zip(self.groups, self.cols,
-                                               self.counts)):
-            stride //= n
+        # per group, each column's mask
+        masks_at = [{w: (1 << shift) - 1} for w in self.wholes]
+        for ci, (g, c) in enumerate(self.div_cols):
+            masks = masks_at[g]
+            masks[self.wholes[g]] ^= 1 << ci
+            masks[c] = masks.get(c, 0) | 1 << ci
+        for bis, cols, masks, classes in zip(self.groups, self.cols, masks_at,
+                                             self.class_masks):
             if not bis:
                 continue
-            masks: Dict[int, int] = {}
-            for ci, (_atom, cand) in enumerate(self.divs):
-                masks[cand[g]] = masks.get(cand[g], 0) | 1 << ci
-            if pick:
-                period = "".join([chr(c) * stride for c in range(n)])
-                text = "".join(pick(period * (len(self.ms) // len(period))))
-                for c, table in enumerate(_class_tables(n)):
-                    mask = int(text.translate(table), 2)
+            for c, mask in enumerate(classes):
+                if mask:
+                    masks[c] = masks.get(c, 0) | mask << shift
+            if len(bis) == 1:
+                # one block: distinct columns are distinct locals there
+                held[bis[0]] = {cols[c][0]: mask
+                                for c, mask in masks.items() if mask}
+            else:
+                for c, mask in masks.items():
                     if mask:
-                        masks[c] = masks.get(c, 0) | mask << shift
-            for c, mask in masks.items():
-                for bi, v in zip(bis, cols[c]):
-                    held[bi][v] = held[bi].get(v, 0) | mask
+                        for bi, v in zip(bis, cols[c]):
+                            held[bi][v] = held[bi].get(v, 0) | mask
         return held
-
-
-@functools.lru_cache(maxsize=64)
-def _class_tables(n: int) -> Tuple[dict, ...]:
-    """Per class c of n, the table that turns class codes into c's bits."""
-    codes = "".join(map(chr, range(n)))
-    return tuple(str.maketrans(codes, "0" * c + "1" + "0" * (n - c - 1))
-                 for c in range(n))
 
 
 def candidate_pool(desc: SzmielewDescription, B: int) -> List[PPFormula]:
@@ -273,7 +335,8 @@ def candidate_pool(desc: SzmielewDescription, B: int) -> List[PPFormula]:
         raise ValueError("pool bound must be >= 1")
     primes, blocks = _pool(normalize(desc), B)
     pool = _Pool(primes, B, blocks)
-    return ([tor(pool.ms[i]) for i in pool.order]
+    ms = _moduli(pool.pms, pool.m0)
+    return ([tor(ms[i]) for i in pool.order]
             + [PPFormula.of(atom) for atom, _cand in pool.divs])
 
 
@@ -281,12 +344,14 @@ def _leave_one_out(blocks: Tuple[Block, ...], locs: Sequence[tuple]
                    ) -> Iterator[Tuple[tuple, tuple]]:
     """Per member: the meet of all other members, and the full meet."""
     whole = _locals(blocks, PPFormula.top())
-    for i, li in enumerate(locs):
-        rest = whole
-        for j, lj in enumerate(locs):
-            if j != i:
-                rest = _meet_locals(blocks, rest, lj)
-        yield rest, _meet_locals(blocks, rest, li)
+    meet = functools.partial(_meet_locals, blocks)
+    # before[i] meets the members before i and after[i] those after it; the
+    # whole subgroup stands for no member, and a meet with it is skipped
+    before = [whole, *itertools.accumulate(locs[:-1], meet)]
+    after = [*itertools.accumulate(locs[:0:-1], meet)][::-1] + [whole]
+    full = meet(before[-1], locs[-1])
+    for b, a in zip(before, after):
+        yield (a if b is whole else b if a is whole else meet(b, a)), full
 
 
 class InpVerdict(Record):

@@ -1,5 +1,6 @@
-"""Every name a module of `szk` imports is used in that module, and no module
-brings the `dataclasses` machinery onto the cold path.
+"""Every name a module of `szk` imports is used in that module, no module
+brings the `dataclasses` machinery onto the cold path, and every memo is
+bounded.
 
 `__init__.py` is left out of the unused-import check: it imports names to
 re-export them.
@@ -90,3 +91,56 @@ def test_cold_import_loads_no_dataclasses():
     assert {"szk.rank", "szk.ppeval"} <= by_rest
     for added in (by_cli, by_rest):
         assert not added & {"dataclasses", "inspect"}
+
+
+def unbounded_memos(source: str):
+    """The lines of the `functools` memos that name no int maxsize: a
+    `cache`, a bare `lru_cache`, or one whose maxsize is not an int literal
+    or a module constant bound to one."""
+    tree = ast.parse(source)
+    ints = {target.id for node in tree.body if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant)
+            and type(node.value.value) is int
+            for target in node.targets if isinstance(target, ast.Name)}
+    names = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for alias in node.names}
+
+    def memo(node):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"):
+            name = node.attr
+        else:
+            name = names.get(node.id) if isinstance(node, ast.Name) else None
+        return name if name in ("cache", "lru_cache") else None
+
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and memo(node.func) == "lru_cache":
+            size = next((k.value for k in node.keywords if k.arg == "maxsize"),
+                        node.args[0] if node.args else None)
+            if (isinstance(size, ast.Constant) and type(size.value) is int
+                    or isinstance(size, ast.Name) and size.id in ints):
+                bounded.add(node.func)
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if memo(node) and node not in bounded)
+
+
+def test_finds_an_unbounded_memo():
+    assert unbounded_memos(
+        "import functools\nfrom functools import lru_cache as lc, cache\n"
+        "SIZE = 8\nNAME = 'x'\n"
+        "@functools.lru_cache(maxsize=SIZE)\ndef a(): pass\n"
+        "@lc(16)\ndef b(): pass\n"
+        "@functools.lru_cache(maxsize=None)\ndef c(): pass\n"
+        "@functools.lru_cache\ndef d(): pass\n"
+        "@cache\ndef e(): pass\n"
+        "@lc(maxsize=NAME)\ndef f(): pass\n"
+        "g = functools.lru_cache()(len)\n") == [9, 11, 13, 15, 17]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_memos_are_bounded(path):
+    # a memo lives as long as the process: a `fuzz` stream or a library
+    # caller would grow an unbounded one without limit
+    assert unbounded_memos(path.read_text()) == []

@@ -1,6 +1,7 @@
 """Brute-force oracle: pool, family verification, breadth search."""
 
 import itertools
+import math
 import random
 import time
 
@@ -600,6 +601,9 @@ class TestSearchMatchesReference:
     def test_block_memo_forward_and_reversed(self):
         self.replay(oracle._block_table)
 
+    def test_product_memo_forward_and_reversed(self):
+        self.replay(oracle._products)
+
     @staticmethod
     def bounded(memo, bound):
         maxsize = memo.cache_info().maxsize
@@ -611,6 +615,30 @@ class TestSearchMatchesReference:
 
     def test_block_memo_is_bounded(self):
         self.bounded(oracle._block_table, oracle.BLOCK_MEMO)
+
+    def test_product_memo_is_bounded(self):
+        self.bounded(oracle._products, oracle.PRODUCT_MEMO)
+
+    def test_pools_sharing_a_product_space(self):
+        # the same classes of exponents at 2 and 3 on different blocks: the
+        # second pool reads the first one's product space from the memo
+        texts = ["Z(2^3)^w + Z(3^1)^w",
+                 "Z(2^3)^w + Z_(2)^w + Z(3^1)^2 + Z_(3)^w + Q^w"]
+        oracle._products.cache_clear()
+        pools = []
+        for text in texts:
+            primes, blocks = oracle._pool(normalize(parse_group(text)), 4)
+            pool = oracle._Pool(primes, 4, blocks)
+            keys = [pool.key(c) for _f, c in pool.divs + pool.tors]
+            assert pool.holders() == brute_force_holders(len(blocks), keys)
+            pools.append((pool, blocks))
+        (first, fb), (second, sb) = pools
+        assert (first.pms, first.m0) == (second.pms, second.m0)
+        assert fb != sb and first.divs != second.divs
+        info = oracle._products.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        for text in texts:
+            self.check(parse_group(text), 4, 6)
 
     def test_four_pool_primes_at_b0(self):
         # three listed primes and a prime tail: the slowest stratum of fuzz
@@ -643,7 +671,15 @@ class TestSearchMatchesReference:
         g = parse_group(P98_SHAPE)
         primes, blocks = oracle._pool(normalize(g), 7)
         slotted = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
-        assert len(oracle._Pool(primes, 7, slotted).tors) == 4095
+        pool = oracle._Pool(primes, 7, slotted)
+        # over a third of the m's are past 2^30, multi-digit ints: the search
+        # order is still an exact sort of the class products by m
+        products = [(math.prod(map(tuple.__getitem__, pool.pms, cs)), cs)
+                    for cs in itertools.product(*map(range, pool.counts))]
+        products[0] = (pool.m0, products[0][1])
+        assert sum(m > 2 ** 30 for m, _cs in products) > len(products) // 3
+        assert pool.tors == sorted(p for p in products if p[0] > 1)
+        assert len(pool.tors) == 4095
         for maxK in (dp_rank(g).dp + 1, 6):
             self.check(g, 7, maxK)
 
