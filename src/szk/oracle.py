@@ -11,7 +11,9 @@ is a tuple of column indices, one per prime and one for the prime-less
 blocks: the torsion profiles are the products of one class of equal
 columns per prime, each represented by its least m and kept as its index
 into the products, and each new div column is the whole subgroup
-elsewhere.  The torsion part depends only on each prime's least m per
+elsewhere, kept as its atom, prime and column.  A candidate is read only by
+its index in the search, which gives its tuple, locals and formula on
+demand.  The torsion part depends only on each prime's least m per
 class, so a second bounded memo keeps, per such signature, the products in
 search order and per prime and class the bitmask of the products holding
 it; a search ors those masks, and the few div bits, into the holders of
@@ -47,8 +49,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .core import (Div, Index, PoolOverflowError, PPFormula, Record,
                    SzmielewDescription, Tor, is_omega, is_prime, tor)
 from .normalize import normalize
-from .ppeval import (KINDS, Block, _formula_requirements, _index, _locals,
-                     _meet_locals, index_json, materialize)
+from .ppeval import (KINDS, Block, _blocks_for, _index, _locals, _meet_locals,
+                     index_json, materialize)
 
 DEFAULT_MAX_POOL = 50000
 
@@ -196,8 +198,12 @@ class _Pool:
     group g, the prime-less group's one class having m = 1, and counts[g]
     their count.  The products in search order, by ascending m, and the
     class masks come from _products, shared by every pool with the same
-    classes.  A candidate tuple and its m are decoded only where one is
-    read.
+    classes.  A div candidate is kept in divs as (atom, g, c): column c at
+    its group g and the whole column wholes[h] at every other group h.
+
+    A candidate is read by its search index ci, the divs first and then the
+    products in order: cand(ci) builds its tuple, key(tuple) its locals and
+    formula(ci) its formula; decode and m read one class product.
     """
 
     def __init__(self, primes: Sequence[int], B: int,
@@ -237,8 +243,7 @@ class _Pool:
         # a class and its column at g is one, unless that is product 0 with
         # no tor; and it is the all-whole candidate when its column at g is
         # the whole one, which is kept once
-        self.divs: List[Tuple[Div, tuple]] = []
-        self.div_cols: List[Tuple[int, int]] = []
+        self.divs: List[Tuple[Div, int, int]] = []
         fits = list(map(int.__lt__, wholes, self.counts))
         seen_whole = False
         for g, firsts in enumerate(pdivs, 1):
@@ -251,8 +256,7 @@ class _Pool:
                     if seen_whole:
                         continue
                     seen_whole = True
-                self.divs.append((atom, (*wholes[:g], c, *wholes[g + 1:])))
-                self.div_cols.append((g, c))
+                self.divs.append((atom, g, c))
 
     def decode(self, i: int) -> tuple:
         """The candidate tuple of class product i."""
@@ -268,16 +272,11 @@ class _Pool:
             return self.m0
         return math.prod(map(tuple.__getitem__, self.pms, self.decode(i)))
 
-    @property
-    def tors(self) -> List[Tuple[int, tuple]]:
-        """(m, candidate) per torsion candidate, in search order."""
-        ms = _moduli(self.pms, self.m0)
-        return [(ms[i], self.decode(i)) for i in self.order]
-
     def cand(self, ci: int) -> tuple:
         """Candidate ci of the search: the divs, then the tors."""
         if ci < len(self.divs):
-            return self.divs[ci][1]
+            _atom, g, c = self.divs[ci]
+            return (*self.wholes[:g], c, *self.wholes[g + 1:])
         return self.decode(self.order[ci - len(self.divs)])
 
     def formula(self, ci: int) -> PPFormula:
@@ -306,7 +305,7 @@ class _Pool:
         shift = len(self.divs)
         # per group, each column's mask
         masks_at = [{w: (1 << shift) - 1} for w in self.wholes]
-        for ci, (g, c) in enumerate(self.div_cols):
+        for ci, (_atom, g, c) in enumerate(self.divs):
             masks = masks_at[g]
             masks[self.wholes[g]] ^= 1 << ci
             masks[c] = masks.get(c, 0) | 1 << ci
@@ -317,15 +316,10 @@ class _Pool:
             for c, mask in enumerate(classes):
                 if mask:
                     masks[c] = masks.get(c, 0) | mask << shift
-            if len(bis) == 1:
-                # one block: distinct columns are distinct locals there
-                held[bis[0]] = {cols[c][0]: mask
-                                for c, mask in masks.items() if mask}
-            else:
-                for c, mask in masks.items():
-                    if mask:
-                        for bi, v in zip(bis, cols[c]):
-                            held[bi][v] = held[bi].get(v, 0) | mask
+            for c, mask in masks.items():
+                if mask:
+                    for bi, v in zip(bis, cols[c]):
+                        held[bi][v] = held[bi].get(v, 0) | mask
         return held
 
 
@@ -337,7 +331,7 @@ def candidate_pool(desc: SzmielewDescription, B: int) -> List[PPFormula]:
     pool = _Pool(primes, B, blocks)
     ms = _moduli(pool.pms, pool.m0)
     return ([tor(ms[i]) for i in pool.order]
-            + [PPFormula.of(atom) for atom, _cand in pool.divs])
+            + [PPFormula.of(atom) for atom, _g, _c in pool.divs])
 
 
 def _leave_one_out(blocks: Tuple[Block, ...], locs: Sequence[tuple]
@@ -363,8 +357,7 @@ def verify_inp(desc: SzmielewDescription, family: Sequence[PPFormula]) -> InpVer
     if not family:
         raise ValueError("family must be non-empty")
     strict = normalize(desc)
-    bounds, extra = _formula_requirements(strict, family)
-    blocks = materialize(strict, bounds, extra)
+    blocks = _blocks_for(strict, family)
     locs = [_locals(blocks, f) for f in family]
     transcript = tuple(_index(blocks, rest, full)
                        for rest, full in _leave_one_out(blocks, locs))

@@ -21,71 +21,65 @@ from .core import (INFINITE, Index, Mult, PPFormula, Record,
 
 Block = Tuple[str, tuple, Mult]
 
+SPLIT_CAP = 10 ** 4    # the explicit cyclic blocks tail splits may add
 
-def _formula_requirements(desc: SzmielewDescription,
-                          formulas: Iterable[PPFormula]
-                          ) -> Tuple[Dict[int, int], Tuple[int, ...]]:
-    """Tail split bounds per prime and the extra primes to instantiate."""
-    atoms = [a for f in formulas for a in f.atoms]
-    tail_bounds: Dict[int, int] = {}
-    mentioned = set()
-    for a in atoms:
-        if isinstance(a, Div):
-            tail_bounds[a.p] = max(tail_bounds.get(a.p, 0), a.r)
-            mentioned.add(a.p)
-        else:
-            for p, e in prime_factors(a.m).items():
-                tail_bounds[p] = max(tail_bounds.get(p, 0), e)
-                mentioned.add(p)
+
+def _blocks_for(desc: SzmielewDescription, formulas: Iterable[PPFormula]
+                ) -> Tuple[Block, ...]:
+    """The blocks that evaluate every formula in formulas exactly: each tail
+    split at the largest exponent of its prime in an atom, and under a prime
+    tail each such unlisted prime instantiated."""
+    bounds: Dict[int, int] = {}
+    for f in formulas:
+        for a in f.atoms:
+            exps = {a.p: a.r} if isinstance(a, Div) else prime_factors(a.m)
+            for p, e in exps.items():
+                bounds[p] = max(bounds.get(p, 0), e)
     extra: Tuple[int, ...] = ()
     if desc.prime_tail is not None:
-        extra = tuple(sorted(mentioned - set(desc.primes())))
-    return tail_bounds, extra
+        extra = tuple(sorted(set(bounds) - set(desc.primes())))
+    return materialize(desc, bounds, extra)
 
 
 def materialize(desc: SzmielewDescription, tail_bounds: Dict[int, int],
                 extra_primes: Tuple[int, ...]) -> Tuple[Block, ...]:
-    """Split tails at the given bounds and instantiate extra primes."""
-    blocks: List[Block] = []
+    """Split tails at the given bounds and instantiate extra primes.
+
+    A split adds one explicit cyclic block per exponent past the cutoff, so
+    more than SPLIT_CAP of them in all is refused before any is built."""
+    tails = [(p, spec, max(spec.cutoff, tail_bounds.get(p, 0)))
+             for p, spec in sorted(desc.tail_dict().items())]
+    added = sum(split - spec.cutoff for _p, spec, split in tails)
+    if added > SPLIT_CAP:
+        raise ValueError("tail splits need %d cyclic blocks, cap is %d"
+                         % (added, SPLIT_CAP))
     cyclic = desc.cyclic_dict()
-    tails = desc.tail_dict()
-    for p, spec in sorted(tails.items()):
-        split = max(spec.cutoff, tail_bounds.get(p, 0))
+    tail_blocks: List[Block] = []
+    for p, spec, split in tails:
         for n in range(spec.cutoff + 1, split + 1):
             cyclic[(p, n)] = mult_add(cyclic.get((p, n), 0), spec.mult)
+        tail_blocks.append(("tail", (p, split), spec.mult))
     listed = set(desc.primes())
-    if desc.prime_tail is not None:
-        shape = desc.prime_tail
-        for p in extra_primes:
-            if p in listed:
-                continue
-            for n, m in shape.cyclic_pattern:
-                cyclic[(p, n)] = m
-    for (p, n), m in sorted(cyclic.items()):
-        blocks.append(("cyc", (p, n), m))
-    for p, spec in sorted(tails.items()):
-        split = max(spec.cutoff, tail_bounds.get(p, 0))
-        blocks.append(("tail", (p, split), spec.mult))
     tf = desc.tf_dict()
     dv = desc.div_dict()
-    if desc.prime_tail is not None:
-        for p in extra_primes:
-            if p in listed:
-                continue
-            shape = desc.prime_tail
+    shape = desc.prime_tail
+    if shape is not None:
+        for p in set(extra_primes) - listed:
+            for n, m in shape.cyclic_pattern:
+                cyclic[(p, n)] = m
             if shape.tf_mult != 0:
                 tf[p] = shape.tf_mult
             if shape.div_mult != 0:
                 dv[p] = shape.div_mult
-    for p, m in sorted(tf.items()):
-        blocks.append(("tf", (p,), m))
-    for p, m in sorted(dv.items()):
-        blocks.append(("div", (p,), m))
+    blocks = [("cyc", key, m) for key, m in sorted(cyclic.items())]
+    blocks += tail_blocks
+    blocks += [("tf", (p,), m) for p, m in sorted(tf.items())]
+    blocks += [("div", (p,), m) for p, m in sorted(dv.items())]
     if desc.q_mult != 0:
         blocks.append(("q", (), desc.q_mult))
-    if desc.prime_tail is not None and not desc.prime_tail.is_trivial:
+    if shape is not None and not shape.is_trivial:
         excluded = tuple(sorted(listed | set(extra_primes)))
-        blocks.append(("ptail", (desc.prime_tail, excluded), 1))
+        blocks.append(("ptail", (shape, excluded), 1))
     return tuple(blocks)
 
 
@@ -346,18 +340,19 @@ class SubgroupProfile(Record):
 
 
 def eval_formula(desc: SzmielewDescription, formula: PPFormula) -> SubgroupProfile:
-    bounds, extra = _formula_requirements(desc, [formula])
-    blocks = materialize(desc, bounds, extra)
+    blocks = _blocks_for(desc, [formula])
     return SubgroupProfile(desc, formula, blocks, _locals(blocks, formula))
 
 
 def _common(h: SubgroupProfile, k: SubgroupProfile
             ) -> Tuple[Tuple[Block, ...], tuple, tuple]:
-    """Re-evaluate both formulas over one shared materialization."""
+    """Both formulas' locals over one shared materialization: equal blocks
+    split every tail and instantiate every prime alike, so they serve both."""
     if h.desc != k.desc:
         raise ValueError("profiles over different descriptions")
-    bounds, extra = _formula_requirements(h.desc, [h.formula, k.formula])
-    blocks = materialize(h.desc, bounds, extra)
+    if h.blocks == k.blocks:
+        return h.blocks, h.locals, k.locals
+    blocks = _blocks_for(h.desc, [h.formula, k.formula])
     return blocks, _locals(blocks, h.formula), _locals(blocks, k.formula)
 
 
@@ -369,10 +364,6 @@ def meet(h: SubgroupProfile, k: SubgroupProfile) -> SubgroupProfile:
 
 def index_class(h: SubgroupProfile, k: SubgroupProfile) -> Index:
     """The exact index [h : h meet k]."""
-    if h.desc == k.desc and h.blocks == k.blocks:
-        # one materialization already serves both formulas
-        return _index(h.blocks, h.locals,
-                      _meet_locals(h.blocks, h.locals, k.locals))
     blocks, lh, lk = _common(h, k)
     return _index(blocks, lh, _meet_locals(blocks, lh, lk))
 

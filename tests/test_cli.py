@@ -498,6 +498,14 @@ class TestBoundedTime:
         assert cold.code == 0, cold.err
         assert cold.out.splitlines()[0] == expected
 
+    def test_tail_split_refused(self):
+        # one explicit cyclic block per exponent up to 10^12: none is built
+        cold = run_szk(["index", "tail(2)", "div(2,1000000000000,0)",
+                        "tor(2)"], timeout=2)
+        assert cold.code == 1 and cold.out == ""
+        assert cold.err == ("error: tail splits need 1000000000000 cyclic "
+                            "blocks, cap is 10000\n")
+
     def test_shatter_refused_by_size(self):
         # 250,000 cosets of 10^6 bits each: refused before any is built
         cold = run_szk(["shatter", "--orders", "1000", "1000",

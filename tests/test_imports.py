@@ -1,6 +1,6 @@
 """Every name a module of `szk` imports is used in that module, no module
-brings the `dataclasses` machinery onto the cold path, and every memo is
-bounded.
+brings the `dataclasses` machinery onto the cold path, every memo is
+bounded, and every private module-level name is read by the library.
 
 `__init__.py` is left out of the unused-import check: it imports names to
 re-export them.
@@ -9,6 +9,7 @@ re-export them.
 import ast
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -144,3 +145,46 @@ def test_memos_are_bounded(path):
     # a memo lives as long as the process: a `fuzz` stream or a library
     # caller would grow an unbounded one without limit
     assert unbounded_memos(path.read_text()) == []
+
+
+def read_names(tree: ast.AST) -> Counter:
+    """The names the code under a node reads, as names or as attributes."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   or isinstance(node, ast.Name)
+                   and isinstance(node.ctx, ast.Load))
+
+
+def defined_names(node: ast.stmt):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def unread_privates(sources):
+    """(file, line, name) of each module-level `_private` name that no code
+    in sources reads outside the name's own definition."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    reads = sum(map(read_names, trees.values()), Counter())
+    return sorted((path, node.lineno, name)
+                  for path, tree in trees.items() for node in tree.body
+                  for name in defined_names(node)
+                  if name.startswith("_") and not name.startswith("__")
+                  and reads[name] == read_names(node)[name])
+
+
+def test_finds_an_unread_private_name():
+    sources = {
+        "a.py": "_A = 1\n_B = 2\ndef _f():\n    return _f() + _B\n"
+                "class _C: pass\n_D: int = 3\n__all__ = []\n",
+        "b.py": "from a import _C\nimport a\nx = _C, a._D\n",
+    }
+    assert unread_privates(sources) == [("a.py", 1, "_A"), ("a.py", 3, "_f")]
+
+
+def test_no_test_only_private_name():
+    # a private helper that only tests read belongs in the tests
+    assert unread_privates({p.name: p.read_text() for p in SOURCES}) == []

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from szk import corpus, oracle
+from szk import corpus, oracle, ppeval
 from szk.core import OMEGA, Div, PPFormula, div, is_omega, make_prime_tail, tor
 from szk.dsl import parse_formula, parse_group, render_formula
 from szk.normalize import normalize
@@ -85,6 +85,17 @@ def brute_force_holders(size, keys):
         for bi, v in enumerate(key):
             held[bi][v] = held[bi].get(v, 0) | 1 << ci
     return held
+
+
+def search_order(pool):
+    """(formula, candidate) per search index of a pool: the div candidates,
+    then the torsion products by ascending m."""
+    return [(pool.formula(ci), pool.cand(ci))
+            for ci in range(len(pool.divs) + len(pool.order))]
+
+
+def is_div(formula):
+    return isinstance(formula.atoms[0], Div)
 
 
 # The reference's slot modes, one predicate class per mode: occupies(mult,
@@ -351,6 +362,26 @@ class TestCandidatePool:
             breadth_search(parse_group("Z(2^1)^w"), 100000, 6)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("text,B", [("tail(2)", 314),
+                                        ("tail(2) + tail(3)", 157)])
+    def test_split_cap_admits_the_default_pools(self, text, B):
+        # the largest pools under the default cap split their tails at B
+        _primes, blocks = oracle._pool(normalize(parse_group(text)), B)
+        cyc = sum(kind == "cyc" for kind, _d, _m in blocks)
+        assert cyc == B * text.count("tail")
+        with pytest.raises(PoolOverflowError):
+            oracle._pool(normalize(parse_group(text)), B + 1)
+
+    def test_split_cap_refuses_what_the_pool_cap_admits(self, monkeypatch):
+        # the pool splits tail(2) at B, past SPLIT_CAP: refused before any
+        # block is built
+        B = ppeval.SPLIT_CAP + 1
+        monkeypatch.setenv("SZK_MAX_POOL", str(10 ** 9))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^tail splits need %d " % B):
+            breadth_search(parse_group("tail(2)"), B, 2)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestProfileSpacePool:
     """The pool built per prime equals the enumerated and deduplicated one."""
@@ -369,14 +400,12 @@ class TestProfileSpacePool:
                 slotted = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
                 for bl in (blocks, slotted):
                     pool = oracle._Pool(primes, B, bl)
-                    got = ([(tor(m), pool.key(c)) for m, c in pool.tors]
-                           + [(PPFormula.of(a), pool.key(c))
-                              for a, c in pool.divs])
-                    assert got == brute_force_profiles(primes, B, bl), (
-                        desc, B)
+                    got = [(f, pool.key(c)) for f, c in search_order(pool)]
+                    # the pool's order: the tors, then the divs
+                    assert sorted(got, key=lambda fk: is_div(fk[0])) == \
+                        brute_force_profiles(primes, B, bl), (desc, B)
                     # the search's order: the div candidates first
-                    cands = [c for _f, c in pool.divs + pool.tors]
-                    keys = [pool.key(c) for c in cands]
+                    keys = [key for _f, key in got]
                     assert pool.holders() == brute_force_holders(
                         len(bl), keys), (desc, B)
                     checked += 1
@@ -423,7 +452,7 @@ class TestPoolTimeBudget:
         primes, blocks = oracle._pool(normalize(g), 7)
         slotted = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
         pool = oracle._Pool(primes, 7, slotted)
-        assert len(pool.divs) + len(pool.tors) == 2586
+        assert len(search_order(pool)) == 2586
 
 
     @pytest.mark.parametrize("text,B,maxK,depth", CAP_ABOVE_DEPTH,
@@ -629,12 +658,12 @@ class TestSearchMatchesReference:
         for text in texts:
             primes, blocks = oracle._pool(normalize(parse_group(text)), 4)
             pool = oracle._Pool(primes, 4, blocks)
-            keys = [pool.key(c) for _f, c in pool.divs + pool.tors]
+            keys = [pool.key(c) for _f, c in search_order(pool)]
             assert pool.holders() == brute_force_holders(len(blocks), keys)
             pools.append((pool, blocks))
         (first, fb), (second, sb) = pools
         assert (first.pms, first.m0) == (second.pms, second.m0)
-        assert fb != sb and first.divs != second.divs
+        assert fb != sb and search_order(first) != search_order(second)
         info = oracle._products.cache_info()
         assert (info.hits, info.misses) == (1, 1)
         for text in texts:
@@ -678,8 +707,10 @@ class TestSearchMatchesReference:
                     for cs in itertools.product(*map(range, pool.counts))]
         products[0] = (pool.m0, products[0][1])
         assert sum(m > 2 ** 30 for m, _cs in products) > len(products) // 3
-        assert pool.tors == sorted(p for p in products if p[0] > 1)
-        assert len(pool.tors) == 4095
+        tors = [(f.atoms[0].m, c) for f, c in search_order(pool)
+                if not is_div(f)]
+        assert tors == sorted(p for p in products if p[0] > 1)
+        assert len(tors) == 4095
         for maxK in (dp_rank(g).dp + 1, 6):
             self.check(g, 7, maxK)
 

@@ -61,6 +61,25 @@ class TestAtomTables:
         tail = [data for (k, data, _m) in profile.blocks if k == "tail"]
         assert tail == [(2, 3)]
 
+    # a group and the formula whose tail splits add n cyclic blocks in all
+    SPLITS = {
+        "one-tail": ("tail(2)", lambda n: "div(2,%d,0)" % n),
+        "cutoff": ("tail(2,cutoff=3)", lambda n: "div(2,%d,1)" % (n + 3)),
+        "two-tails": ("tail(2) + tail(3,w)",
+                      lambda n: "tor(8) & div(3,%d,0)" % (n - 3)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPLITS))
+    def test_split_cap(self, name):
+        # SPLIT_CAP split blocks are built; one more is refused before any is
+        group, formula = self.SPLITS[name]
+        g, cap = parse_group(group), ppeval.SPLIT_CAP
+        profile = eval_formula(g, parse_formula(formula(cap)))
+        assert sum(k == "cyc" for k, _d, _m in profile.blocks) == cap
+        with pytest.raises(ValueError, match="^tail splits need %d cyclic "
+                           "blocks, cap is %d$" % (cap + 1, cap)):
+            eval_formula(g, parse_formula(formula(cap + 1)))
+
     def test_prime_tail_instantiates_mentioned_primes(self):
         profile = eval_formula(parse_group("forall_p{Z_(P)^2}"),
                                parse_formula("tor(3)"))
@@ -165,19 +184,23 @@ class TestIndexClass:
         g = parse_group("Z(2^3)^2 + Z(3^1)^w")
         h = eval_formula(g, parse_formula("tor(4)"))
         k = eval_formula(g, parse_formula("tor(6)"))
+        both = eval_formula(g, parse_formula("tor(4) & tor(6)"))
         assert h.blocks == k.blocks
         monkeypatch.setattr(ppeval, "materialize", counted)
         # 2-part: the 4-torsion (order 16) over the 2-torsion (order 4)
         assert index_class(h, k) == Index.of(4)
+        assert meet(h, k) == both
         assert calls == []
-        # tails split at different heights: one shared materialization
+        # tails split at different heights: one shared materialization each
         g = parse_group("tail(2)")
         h = eval_formula(g, parse_formula("tor(4)"))
         k = eval_formula(g, parse_formula("div(2,3,1)"))
         assert h.blocks != k.blocks
+        both = eval_formula(g, parse_formula("tor(4) & div(2,3,1)"))
         calls.clear()
         assert index_class(h, k) == Index.of(4)
-        assert len(calls) == 1
+        assert meet(h, k) == both
+        assert len(calls) == 2
 
     # expected index, None for infinite; the one-prime groups keep the
     # comparison on a single block of the named kind (the prime-tail
