@@ -167,10 +167,9 @@ def _shatter_text(p: dict) -> str:
 
 def _fuzz_one(desc) -> Optional[str]:
     from . import oracle, rank
-    # normalized once for both sides; the dp-rank alone, as the differential
-    # prints no witnesses
+    # normalized once for both sides
     strict = normalize(desc)
-    dp = rank._rank_of(strict)[1]
+    dp = rank._rank_of(strict).dp
     if dp is None:
         return "corpus produced an infinite-rank description: %s" % render_group(desc)
     b0 = strict.max_exponent() + 2

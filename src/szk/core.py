@@ -507,13 +507,32 @@ def make_description(cyclic: Optional[Dict[Tuple[int, int], Mult]] = None,
     return SzmielewDescription(cyc, tf_t, div_t, q_mult, tail_t, prime_tail)
 
 
+SPLIT_CAP = 10 ** 4    # the explicit cyclic blocks raised tail cutoffs may add
+
+
+def _raise_cutoffs(cyclic: Dict[Tuple[int, int], Mult],
+                  raises: List[Tuple[int, TailSpec, int]]) -> None:
+    """Add to cyclic, for each (p, spec, cut), spec.mult copies of Z(p^n) at
+    every n in (spec.cutoff, cut]: the blocks of that tail below a cutoff
+    raised to cut.  More than SPLIT_CAP of them in all is refused before any
+    is added."""
+    added = sum(cut - spec.cutoff for _p, spec, cut in raises)
+    if added > SPLIT_CAP:
+        raise ValueError("tail splits need %d cyclic blocks, cap is %d"
+                         % (added, SPLIT_CAP))
+    for p, spec, cut in raises:
+        for n in range(spec.cutoff + 1, cut + 1):
+            cyclic[(p, n)] = mult_add(cyclic.get((p, n), 0), spec.mult)
+
+
 def direct_sum(*descs: SzmielewDescription) -> SzmielewDescription:
     """The direct sum of any number of descriptions, multiplicities added
     exactly, built once.
 
     All tails at a prime merge into one at the largest cutoff there, raised
     to the largest explicit exponent at that prime; each tail's blocks that
-    fall below the merged cutoff become explicit cyclic entries.
+    fall below the merged cutoff become explicit cyclic entries, at most
+    SPLIT_CAP of them (see _raise_cutoffs).
     """
     cyclic: Dict[Tuple[int, int], Mult] = {}
     tf: Dict[int, Mult] = {}
@@ -535,15 +554,15 @@ def direct_sum(*descs: SzmielewDescription) -> SzmielewDescription:
     for p, n in cyclic:
         top[p] = max(top.get(p, 0), n)
     merged: Dict[int, TailSpec] = {}
+    raises: List[Tuple[int, TailSpec, int]] = []
     for p, specs in tails.items():
         cut = max([s.cutoff for s in specs] + [top.get(p, 0)])
         total: Mult = 0
         for spec in specs:
-            # explicit blocks for the stretch the raised cutoff now covers
-            for n in range(spec.cutoff + 1, cut + 1):
-                cyclic[(p, n)] = mult_add(cyclic.get((p, n), 0), spec.mult)
+            raises.append((p, spec, cut))
             total = mult_add(total, spec.mult)
         merged[p] = TailSpec(cut, total)
+    _raise_cutoffs(cyclic, raises)
 
     prime_tail = shapes[0] if shapes else None
     if len(shapes) > 1:

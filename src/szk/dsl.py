@@ -3,11 +3,11 @@
 Grammar (whitespace insensitive, ASCII):
 
     group    := term ("+" term)* | "0"
-    term     := atom ("^" mult)?
-    atom     := "Z(" prime "^" nat ")" | "Z(" prime "^inf)" | "Z_(" prime ")"
-              | "Q" | "tail(" prime ("," mult)? ("," "cutoff" "=" nat)? ")"
-              | "forall_p{" shape "}"
-    shape    := shapeterm ("+" shapeterm)*        # uses "P" for the prime
+    term     := summand | "Z(" nat ")" ("^" mult)? | "Q" ("^" mult)?
+              | "tail(" prime ("," mult)? ("," "cutoff" "=" nat)? ")"
+              | "forall_p{" summand ("+" summand)* "}"
+    summand  := ("Z(" x "^" nat ")" | "Z(" x "^inf)" | "Z_(" x ")") ("^" mult)?
+                # x is a prime in a term, "P" inside forall_p{}
     mult     := nat | "w"
     formula  := "top" | fatom ("&" fatom)*
     fatom    := "tor(" nat ")" | "div(" prime "," nat "," nat ")"
@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
-from .core import (OMEGA, Div, Mult, PPFormula, PrimeTailShape, Record,
-                   SzmielewDescription, TailSpec, Tor, _violations,
-                   atom_sort_key, check_atom, direct_sum, is_omega, is_prime,
-                   make_description, make_prime_tail, mult_add, prime_factors)
+from .core import (OMEGA, Div, Mult, PPFormula, Record, SzmielewDescription,
+                   TailSpec, Tor, _violations, atom_sort_key, check_atom,
+                   direct_sum, is_omega, is_prime, make_description,
+                   make_prime_tail, prime_factors)
 
 
 class SourceSpan(Record):
@@ -134,7 +134,10 @@ class _Parser:
             self.next()
             terms.append(self.term())
         self.end()
-        return direct_sum(*terms)
+        try:
+            return direct_sum(*terms)
+        except ValueError as e:     # too many raised tail cutoffs
+            raise ParseError(str(e), SourceSpan(0, len(self.text)))
 
     def term(self) -> SzmielewDescription:
         at = self.i
@@ -142,56 +145,33 @@ class _Parser:
         if t == "Q":
             self.next()
             return make_description(q_mult=self.opt_mult())
-        if t == "Z_":
-            self.next()
-            self.expect("(")
-            p = self.prime()
+        if t == "Z" and self.toks[at + 1:at + 4:2] == ["(", ")"]:
+            # shorthand Z(q) for a cyclic group of prime-power order q: one
+            # token, never the end of input, between the parentheses
+            self.i += 2
+            q = self.nat()
             self.expect(")")
-            return make_description(tf={p: self.opt_mult()})
-        if t == "Z":
-            self.next()
-            self.expect("(")
-            if self.peek() and self.toks[self.i + 1] == ")":
-                # shorthand Z(q) for a cyclic group of prime-power order q
-                at = self.i
-                q = self.nat()
-                self.expect(")")
-                fac = prime_factors(q) if q > 1 else {}
-                if len(fac) != 1:
-                    self.fail("%d is not a prime power" % q, at)
-                ((p, n),) = fac.items()
-                return make_description(cyclic={(p, n): self.opt_mult()})
-            p = self.prime()
-            self.expect("^")
-            if self.peek() == "inf":
-                self.next()
-                self.expect(")")
-                return make_description(div={p: self.opt_mult()})
-            at = self.i
-            n = self.nat()
-            if n < 1:
-                self.fail("exponent must be >= 1", at)
-            self.expect(")")
+            fac = prime_factors(q) if q > 1 else {}
+            if len(fac) != 1:
+                self.fail("%d is not a prime power" % q, at + 2)
+            ((p, n),) = fac.items()
             return make_description(cyclic={(p, n): self.opt_mult()})
+        if t in ("Z", "Z_"):
+            return self.summand(in_shape=False)
         if t == "tail":
             self.next()
             self.expect("(")
             p = self.prime()
             m: Mult = 1
             cutoff = 0
+            if self.peek() == "," and self.toks[self.i + 1] != "cutoff":
+                self.next()
+                m = self.mult()
             if self.peek() == ",":
                 self.next()
-                if self.peek() != "cutoff":
-                    m = self.mult()
-                    if self.peek() == ",":
-                        self.next()
-                        self.expect("cutoff")
-                        self.expect("=")
-                        cutoff = self.nat()
-                else:
-                    self.expect("cutoff")
-                    self.expect("=")
-                    cutoff = self.nat()
+                self.expect("cutoff")
+                self.expect("=")
+                cutoff = self.nat()
             if m == 0:
                 self.fail("tail multiplicity must be >= 1", at)
             self.expect(")")
@@ -199,45 +179,42 @@ class _Parser:
         if t == "forall_p":
             self.next()
             self.expect("{")
-            shape = self.shape()
+            summands = [self.summand(in_shape=True)]
+            while self.peek() == "+":
+                self.next()
+                summands.append(self.summand(in_shape=True))
             self.expect("}")
-            return make_description(prime_tail=shape)
+            return direct_sum(*summands)
         self.fail("expected a group term")
 
-    def shape(self) -> PrimeTailShape:
-        pattern: Dict[int, Mult] = {}
-        tf_m: Mult = 0
-        div_m: Mult = 0
-        while True:
-            t = self.peek()
-            if t == "Z_":
+    def summand(self, in_shape: bool) -> SzmielewDescription:
+        """Z_(x), Z(x^inf) or Z(x^n), then an optional ^mult: x is a prime,
+        or P inside forall_p{}, where the summand is a shape for every
+        unlisted prime."""
+        if self.peek() not in ("Z", "Z_"):
+            # a group term reaches here only at Z or Z_
+            self.fail("expected Z(P^n), Z(P^inf) or Z_(P) inside forall_p{}")
+        field = "tf" if self.next() == "Z_" else "div"
+        self.expect("(")
+        p = self.expect("P") if in_shape else self.prime()
+        key = p
+        if field == "div":
+            self.expect("^")
+            if self.peek() == "inf":
                 self.next()
-                self.expect("(")
-                self.expect("P")
-                self.expect(")")
-                tf_m = mult_add(tf_m, self.opt_mult())
-            elif t == "Z":
-                self.next()
-                self.expect("(")
-                self.expect("P")
-                self.expect("^")
-                if self.peek() == "inf":
-                    self.next()
-                    self.expect(")")
-                    div_m = mult_add(div_m, self.opt_mult())
-                else:
-                    at = self.i
-                    n = self.nat()
-                    if n < 1:
-                        self.fail("exponent must be >= 1", at)
-                    self.expect(")")
-                    pattern[n] = mult_add(pattern.get(n, 0), self.opt_mult())
             else:
-                self.fail("expected Z(P^n), Z(P^inf) or Z_(P) inside forall_p{}")
-            if self.peek() != "+":
-                break
-            self.next()
-        return make_prime_tail(pattern, tf_m, div_m)
+                at = self.i
+                n = self.nat()
+                if n < 1:
+                    self.fail("exponent must be >= 1", at)
+                field, key = "cyclic", (p, n)
+        self.expect(")")
+        m = self.opt_mult()
+        if not in_shape:
+            return make_description(**{field: {key: m}})
+        shape = (make_prime_tail({n: m}) if field == "cyclic"
+                 else make_prime_tail(**{field + "_mult": m}))
+        return make_description(prime_tail=shape)
 
     # -- formulas -----------------------------------------------------------
 

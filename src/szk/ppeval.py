@@ -13,15 +13,13 @@ encodes the extreme value of a coordinate.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from .core import (INFINITE, Index, Mult, PPFormula, Record,
-                   SzmielewDescription, Div, _Infinite, is_omega, mult_add,
-                   p_adic_valuation, prime_factors)
+                   SzmielewDescription, Div, _Infinite, _raise_cutoffs,
+                   is_omega, p_adic_valuation, prime_factors)
 
 Block = Tuple[str, tuple, Mult]
-
-SPLIT_CAP = 10 ** 4    # the explicit cyclic blocks tail splits may add
 
 
 def _blocks_for(desc: SzmielewDescription, formulas: Iterable[PPFormula]
@@ -46,19 +44,11 @@ def materialize(desc: SzmielewDescription, tail_bounds: Dict[int, int],
     """Split tails at the given bounds and instantiate extra primes.
 
     A split adds one explicit cyclic block per exponent past the cutoff, so
-    more than SPLIT_CAP of them in all is refused before any is built."""
+    more than core.SPLIT_CAP of them in all is refused before any is built."""
     tails = [(p, spec, max(spec.cutoff, tail_bounds.get(p, 0)))
              for p, spec in sorted(desc.tail_dict().items())]
-    added = sum(split - spec.cutoff for _p, spec, split in tails)
-    if added > SPLIT_CAP:
-        raise ValueError("tail splits need %d cyclic blocks, cap is %d"
-                         % (added, SPLIT_CAP))
     cyclic = desc.cyclic_dict()
-    tail_blocks: List[Block] = []
-    for p, spec, split in tails:
-        for n in range(spec.cutoff + 1, split + 1):
-            cyclic[(p, n)] = mult_add(cyclic.get((p, n), 0), spec.mult)
-        tail_blocks.append(("tail", (p, split), spec.mult))
+    _raise_cutoffs(cyclic, tails)
     listed = set(desc.primes())
     tf = desc.tf_dict()
     dv = desc.div_dict()
@@ -72,7 +62,7 @@ def materialize(desc: SzmielewDescription, tail_bounds: Dict[int, int],
             if shape.div_mult != 0:
                 dv[p] = shape.div_mult
     blocks = [("cyc", key, m) for key, m in sorted(cyclic.items())]
-    blocks += tail_blocks
+    blocks += [("tail", (p, split), spec.mult) for p, spec, split in tails]
     blocks += [("tf", (p,), m) for p, m in sorted(tf.items())]
     blocks += [("div", (p,), m) for p, m in sorted(dv.items())]
     if desc.q_mult != 0:

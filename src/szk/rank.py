@@ -1,9 +1,10 @@
 """Closed-form dp-rank, classification predicates, vc-density, seed witnesses.
 
-dp_rank, classify and vc_density compute the value twice, once by the
-four-case dispatch and once by the epsilon equation, and assert they agree; a
-disagreement is an internal error (CLI exit code 2), never a user error.  Only
-dp_rank builds the seed witnesses.
+dp_rank, classify and vc_density read one witness-free RankReport.  Its value
+is computed twice, once by the four-case dispatch and once by the epsilon
+equation, and the two must agree; a disagreement is an internal error (CLI
+exit code 2), never a user error.  Witnesses are built only by seed_witnesses
+and by the report's witnesses property, which rank_json prints.
 """
 
 from __future__ import annotations
@@ -45,7 +46,10 @@ class RankReport(Record):
     derived: DerivedSets
     epsilons: Dict[str, int]
     partition: Dict[str, Tuple[int, ...]]
-    witnesses: Tuple[WitnessFamily, ...]
+
+    @property
+    def witnesses(self) -> Tuple[WitnessFamily, ...]:
+        return _seed_witnesses(self.derived)
 
 
 class Classification(Record):
@@ -97,8 +101,7 @@ def _gap_sum(ds: DerivedSets) -> int:
     return sum(gap_count(ns) for ns in ds.u_inf_at.values())
 
 
-def _epsilon_value(strict: SzmielewDescription, ds: DerivedSets,
-                   eps: Dict[str, int]) -> int:
+def _epsilon_value(ds: DerivedSets, eps: Dict[str, int]) -> int:
     gaps = _gap_sum(ds)
     head = gaps + len(ds.u_inf)
     lone = (1 - max(eps["U"], eps["Tf"], eps["D"])) * eps["Exp"]
@@ -167,7 +170,7 @@ def _value(strict: SzmielewDescription, ds: DerivedSets, eps: Dict[str, int]
     if not _finite_dp(ds):
         return None, "infinite"
     case, value = _case_value(strict, ds)
-    eps_value = _epsilon_value(strict, ds, eps)
+    eps_value = _epsilon_value(ds, eps)
     if value != eps_value:
         raise AssertionError(
             "case equation %d gives %d but epsilon equation gives %d"
@@ -175,33 +178,30 @@ def _value(strict: SzmielewDescription, ds: DerivedSets, eps: Dict[str, int]
     return value, case
 
 
-def _rank_of(strict: SzmielewDescription) -> Tuple[DerivedSets, Optional[int]]:
-    """The derived sets and the dp-rank of a strict form, without witnesses."""
-    ds = _derived_sets(strict)
-    return ds, _value(strict, ds, _epsilons(strict, ds))[0]
-
-
-def dp_rank(desc: SzmielewDescription) -> RankReport:
-    strict = normalize(desc)
+def _rank_of(strict: SzmielewDescription) -> RankReport:
+    """The rank report of a strict form."""
     ds = _derived_sets(strict)
     eps = _epsilons(strict, ds)
     dp, case = _value(strict, ds, eps)
-    return RankReport(dp, _strong(ds), case, ds, eps, _partition(strict, ds),
-                      _seed_witnesses(ds))
+    return RankReport(dp, _strong(ds), case, ds, eps, _partition(strict, ds))
+
+
+def dp_rank(desc: SzmielewDescription) -> RankReport:
+    return _rank_of(normalize(desc))
 
 
 def classify(desc: SzmielewDescription) -> Classification:
-    ds, dp = _rank_of(normalize(desc))
-    strong = _strong(ds)
+    report = dp_rank(desc)
+    ds, strong = report.derived, report.strong
     finite_dp = _finite_dp(ds)
     if finite_dp and not strong:
         raise AssertionError("finite dp-rank must imply strong")
     finitely_many_torsion = not (ds.d_inf_infinite or ds.u_pairs_infinite)
     if (strong and finitely_many_torsion) != finite_dp:
         raise AssertionError("strongness corollary violated")
-    if finite_dp != (dp is not None):
+    if finite_dp != (report.dp is not None):
         raise AssertionError("finite-dp predicate disagrees with dp_rank")
-    return Classification(strong, finite_dp, dp == 1)
+    return Classification(strong, finite_dp, report.dp == 1)
 
 
 class VcReport(Record):
@@ -209,7 +209,7 @@ class VcReport(Record):
 
 
 def vc_density(desc: SzmielewDescription, ms: Iterable[int]) -> VcReport:
-    dp = _rank_of(normalize(desc))[1]
+    dp = dp_rank(desc).dp
     out: Dict[int, Optional[int]] = {}
     for m in ms:
         if m < 1:

@@ -506,6 +506,18 @@ class TestBoundedTime:
         assert cold.err == ("error: tail splits need 1000000000000 cyclic "
                             "blocks, cap is 10000\n")
 
+    @pytest.mark.parametrize("text,blocks", [
+        ("Z(2^1000000) + tail(2)", 1000000),
+        ("tail(2) + tail(2,cutoff=300000)", 300000),
+    ], ids=["exponent", "cutoff"])
+    def test_sum_cutoff_refused(self, text, blocks):
+        # the sum raises the tail's cutoff: its explicit blocks are counted
+        # before any is built
+        cold = run_szk(["normalize", text], timeout=2)
+        assert cold.code == 1 and cold.out == ""
+        assert cold.err == ("error: tail splits need %d cyclic blocks, cap is "
+                            "10000 (at 0..%d)\n" % (blocks, len(text)))
+
     def test_shatter_refused_by_size(self):
         # 250,000 cosets of 10^6 bits each: refused before any is built
         cold = run_szk(["shatter", "--orders", "1000", "1000",
@@ -608,17 +620,19 @@ class TestBoundedTime:
         assert len(report.U) + len(report.U_tail) == 8000
         assert sum(map(len, partition.values())) == 8000
 
-    def test_classify_and_vc_build_no_witnesses(self):
-        # the divisible-socles family of k such primes is k moduli of k-1
-        # primes each, quadratic in k; only dp_rank builds it
-        primes = [p for p in range(2, 20000) if is_prime(p)][:2000]
+    def test_rank_report_builds_no_witnesses(self):
+        # 8,000 divisible primes: their divisible-socles family would be
+        # 8,000 moduli of 7,999 primes each
+        primes = [p for p in range(2, 90000) if is_prime(p)][:8000]
         desc = parse_group(" + ".join("Z(%d^inf)^w" % p for p in primes))
         t0 = time.perf_counter()
+        report = rank.dp_rank(desc)
         classification = rank.classify(desc)
         vc = rank.vc_density(desc, [1, 2])
-        assert time.perf_counter() - t0 < 1.0
+        assert time.perf_counter() - t0 < 0.5
+        assert report.dp == 8000
         assert classification == rank.Classification(True, True, False)
-        assert vc.values == {1: 2000, 2: 4000}
+        assert vc.values == {1: 8000, 2: 16000}
 
     def test_beyond_exact_primality(self):
         cold = run_szk(["rank", "Z(%d^1)" % (33 * 10 ** 23)], timeout=10)

@@ -151,7 +151,13 @@ SPECIAL_TEXTS = [
     "tail(2,cutoff=1) + Z(2^5)^0", "tail(2) + tail(2,cutoff=3) + tail(2,w)",
     "tail(2,0)", "tail(2,cutoff=)", "tail(2,2,cutoff=3)^2",
     "forall_p{Z(P^1)} + forall_p{Z_(P) + Z(P^inf)^w}", "forall_p{Z(P^0)}",
-    "forall_p{}", "Z(4)", "Z(1)", "Z(0)", "Z(2^0)", "Z(3300000000000000000000000^1)",
+    "forall_p{}", "forall_p{Z(P)}", "forall_p{Z(2^1)}", "forall_p{Q}",
+    "forall_p{Z(P^1)^0 + Z_(P)}", "forall_p{Z(P^inf) + }", "forall_p{Z_(P)^0}",
+    "forall_p{Z(P^2) + Z(P^2)^w + Z_(P)^2 + Z_(P)^3}", "forall_p{Z(P^inf)",
+    "forall_p{Z(P^1)}^2", "Z(P^1)", "Z_(P)", "Z(2^P)", "Z(8^1)", "Z(8)^0",
+    "Z(2^1)^", "tail(2,w,cutoff=3)", "tail(2,cutoff=3,w)", "tail(2,3,4)",
+    "tail(2,,cutoff=1)", "tail(2,", "tail(2,cutoff=1,cutoff=2)",
+    "Z(4)", "Z(1)", "Z(0)", "Z(2^0)", "Z(3300000000000000000000000^1)",
     "top", "top & tor(2)", "tor(\u0663) & div(2,3,1)", "tor(0)", "div(2,1,1)",
     "div(4,2,1)", "tor(2) &", "tor(2) @", "@",
 ]

@@ -7,8 +7,9 @@ import time
 
 import pytest
 
-from szk import corpus, oracle, ppeval
-from szk.core import OMEGA, Div, PPFormula, div, is_omega, make_prime_tail, tor
+from szk import corpus, oracle
+from szk.core import (OMEGA, SPLIT_CAP, Div, PPFormula, div, is_omega,
+                      make_prime_tail, tor)
 from szk.dsl import parse_formula, parse_group, render_formula
 from szk.normalize import normalize
 from szk.oracle import (PoolOverflowError, breadth_search, candidate_pool,
@@ -375,7 +376,7 @@ class TestCandidatePool:
     def test_split_cap_refuses_what_the_pool_cap_admits(self, monkeypatch):
         # the pool splits tail(2) at B, past SPLIT_CAP: refused before any
         # block is built
-        B = ppeval.SPLIT_CAP + 1
+        B = SPLIT_CAP + 1
         monkeypatch.setenv("SZK_MAX_POOL", str(10 ** 9))
         start = time.perf_counter()
         with pytest.raises(ValueError, match="^tail splits need %d " % B):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szk import corpus, ppeval
-from szk.core import INFINITE, OMEGA, Index
+from szk.core import INFINITE, OMEGA, SPLIT_CAP, Index, direct_sum
 from szk.dsl import parse_formula, parse_group
 from szk.ppeval import (eval_formula, index_class, meet, profile_stats)
 from szk.shatter import from_description, subgroup_members
@@ -73,12 +73,31 @@ class TestAtomTables:
     def test_split_cap(self, name):
         # SPLIT_CAP split blocks are built; one more is refused before any is
         group, formula = self.SPLITS[name]
-        g, cap = parse_group(group), ppeval.SPLIT_CAP
+        g, cap = parse_group(group), SPLIT_CAP
         profile = eval_formula(g, parse_formula(formula(cap)))
         assert sum(k == "cyc" for k, _d, _m in profile.blocks) == cap
         with pytest.raises(ValueError, match="^tail splits need %d cyclic "
                            "blocks, cap is %d$" % (cap + 1, cap)):
             eval_formula(g, parse_formula(formula(cap + 1)))
+
+    # the terms whose direct sum raises tail cutoffs over n exponents in all
+    SUMS = {
+        "exponent": lambda n: ("Z(2^%d)" % n, "tail(2)"),
+        "cutoff": lambda n: ("tail(2)", "tail(2,cutoff=%d)" % n),
+        "two-primes": lambda n: ("Z(2^3)", "tail(2)", "tail(3)",
+                                 "tail(3,w,cutoff=%d)" % (n - 3)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SUMS))
+    def test_sum_cap(self, name):
+        # the sum that adds SPLIT_CAP explicit blocks is built; one more is
+        # refused before any is
+        terms = self.SUMS[name]
+        g = direct_sum(*map(parse_group, terms(SPLIT_CAP)))
+        assert len(g.cyclic) == SPLIT_CAP
+        with pytest.raises(ValueError, match="^tail splits need %d cyclic "
+                           "blocks, cap is %d$" % (SPLIT_CAP + 1, SPLIT_CAP)):
+            direct_sum(*map(parse_group, terms(SPLIT_CAP + 1)))
 
     def test_prime_tail_instantiates_mentioned_primes(self):
         profile = eval_formula(parse_group("forall_p{Z_(P)^2}"),

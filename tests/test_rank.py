@@ -12,7 +12,8 @@ from szk import corpus, rank
 from szk.core import direct_sum
 from szk.dsl import parse_group
 from szk.oracle import verify_inp
-from szk.rank import (classify, dp_rank, gap_count, seed_witnesses, vc_density)
+from szk.rank import (classify, dp_rank, gap_count, rank_json, seed_witnesses,
+                      vc_density, witnesses_json)
 
 # the package re-exports the function normalize under the module's name
 normalize_module = importlib.import_module("szk.normalize")
@@ -135,8 +136,8 @@ class TestCorpusProperties:
                   + [parse_group(t) for t in fixtures])
 
         def facts(desc):
-            ds, value = rank._rank_of(normalize_module.normalize(desc))
-            return rank._strong(ds), value
+            report = rank._rank_of(normalize_module.normalize(desc))
+            return report.strong, report.dp
 
         known = [facts(g) for g in groups]
         rng = random.Random(20261019)
@@ -208,6 +209,27 @@ class TestSeedWitnesses:
         for desc in finite_dp_corpus[:30]:
             for fam in seed_witnesses(desc):
                 assert verify_inp(desc, list(fam.formulas)).valid
+
+    def test_report_builds_no_witnesses(self, monkeypatch, mixed_corpus,
+                                        finite_dp_corpus):
+        # the report, classify and vc_density read the derived sets alone;
+        # only the report's witnesses property builds the families
+        def refuse(_ds):
+            raise AssertionError("built witness families")
+
+        monkeypatch.setattr(rank, "_seed_witnesses", refuse)
+        for desc in mixed_corpus + finite_dp_corpus:
+            report = dp_rank(desc)
+            assert classify(desc).finite_dp == (report.dp is not None)
+            assert vc_density(desc, [1]).values == {1: report.dp}
+        with pytest.raises(AssertionError, match="built witness families"):
+            report.witnesses
+
+    def test_rank_payload_prints_the_seed_witnesses(self, mixed_corpus,
+                                                    finite_dp_corpus):
+        for desc in mixed_corpus + finite_dp_corpus:
+            assert (rank_json(dp_rank(desc))["witness"]
+                    == witnesses_json(seed_witnesses(desc)))
 
 
 class TestVcDensity:

@@ -56,9 +56,9 @@ SAMPLES = [
     (SETS, SETS_REPR),
     (WitnessFamily("tf-quotients", (TOR2,)),
      "WitnessFamily(tag='tf-quotients', formulas=(PPFormula(atoms=(Tor(m=2),)),))"),
-    (RankReport(1, True, 2, SETS, {"U": 0}, {"P1": ()}, ()),
+    (RankReport(1, True, 2, SETS, {"U": 0}, {"P1": ()}),
      "RankReport(dp=1, strong=True, case_tag=2, derived=%s, epsilons={'U': 0}, "
-     "partition={'P1': ()}, witnesses=())" % SETS_REPR),
+     "partition={'P1': ()})" % SETS_REPR),
     (Classification(True, True, False),
      "Classification(strong=True, finite_dp=True, dp_minimal=False)"),
     (VcReport({1: 2}), "VcReport(values={1: 2})"),
