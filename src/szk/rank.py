@@ -9,6 +9,7 @@ and by the report's witnesses property, which rank_json prints.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .core import PPFormula, Record, SzmielewDescription, div, tor
@@ -138,14 +139,11 @@ def _seed_witnesses(ds: DerivedSets) -> Tuple[WitnessFamily, ...]:
         out.append(WitnessFamily("tf-quotients", fams))
     if ds.d_inf:
         primes = sorted(ds.d_inf)
-        fams = []
-        for p in primes:
-            others = [q for q in primes if q != p]
-            m = 1
-            for q in others:
-                m *= q
-            fams.append(tor(m if others else p))
-        out.append(WitnessFamily("divisible-socles", tuple(fams)))
+        # each modulus is the product of the other primes, read off the
+        # product of all of them
+        whole = prod(primes)
+        fams = tuple(tor(whole // p if len(primes) > 1 else p) for p in primes)
+        out.append(WitnessFamily("divisible-socles", fams))
     for p in sorted(ds.u_inf_at):
         exps = [n + 1 for n in _gap_subset(ds.u_inf_at[p])]
         if not exps:

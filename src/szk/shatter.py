@@ -7,19 +7,26 @@ enumeration.  Everything here is exact, and guarded by size caps.
 - A p.p. formula defines ⊕ d_i Z(m_i).  On Z(m), tor(k) cuts out the
   multiples of m/gcd(k, m), and div(p,r,s) those of q/gcd(p^s, q) with
   q = gcd(p^r, m); a conjunction takes the lcm of its atoms' steps.  The
-  members are listed digit by digit, never searched for.
+  members are listed, never searched for: the innermost components make
+  runs of indices (trailing ones with every residue one block, the next a
+  stride), and only the outer components are listed digit by digit.
 - The cosets of H = ⊕ d_i Z(m_i) are r + H with 0 <= r_i < d_i.  No digit
   of r + h carries, so a coset's mask is H's mask shifted left by the
   index of r, and ascending r lists the cosets by their least elements.
-- pi(n) refines the family's set indices point by point.  A point's column
-  is the mask of the sets that contain it, and each point of a sample
-  splits every cell c into c & col and c & ~col.  The non-empty cells
-  after the last point are the sample's distinct traces.  A sample is not
-  extended once its cells cannot beat the best count found so far.
+- pi(n) refines the family's distinct sets point by point.  A point's
+  column is the mask of the sets that contain it, and each point of a
+  sample splits every cell c into c & col and c & ~col.  The non-empty
+  cells after the last point are the sample's distinct traces.  Points with
+  equal columns are interchangeable, so samples take distinct columns.  A
+  point in at most w sets splits at most min(c, w) of c cells, so
+  pi(n) <= c_n with c_0 = 1 and c_i = c_(i-1) + min(c_(i-1), w): the search
+  stops at the first sample that reaches min(c_n, 2^n, |sets|), and a
+  sample is not extended once its cells cannot beat the best count found.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb, gcd, lcm, prod
 from typing import List, Sequence, Tuple
 
@@ -27,8 +34,9 @@ from .core import PPFormula, Record, SzmielewDescription, Tor
 
 GROUP_CAP = 10 ** 6
 FAMILY_BITS_CAP = 10 ** 8       # cosets times carrier bits: 12.5 MB of masks
-SAMPLE_CAP = 4 * 10 ** 6        # samples times traces per sample: about 2 s
+SAMPLE_CAP = 4 * 10 ** 6        # samples times traces per sample: about 1 s
 SUBSET_CAP = 6
+RUN_MIN = 8                     # shorter runs cost more listed run by run
 
 
 class FinAbGroup(Record):
@@ -92,11 +100,34 @@ def _steps(g: FinAbGroup, formula: PPFormula) -> List[int]:
 
 
 def _mixed_radix(orders: Sequence[int], digits: Sequence[range]) -> List[int]:
-    """Indices of the tuples whose i-th residue runs over digits[i], ascending."""
-    out = [0]
-    for m, ds in zip(orders, digits):
-        out = [i * m + x for i in out for x in ds]
-    return out
+    """Indices of the tuples whose i-th residue runs over digits[i], ascending.
+
+    The innermost components fold into one run of indices, range(o, o + t*c,
+    t), for as long as each continues it; the outer ones are listed digit by
+    digit, and each of their indices h starts one copy of the run at h * w.
+    """
+    o, t, c, w = 0, 1, 1, 1
+    k = len(orders)
+    while k:
+        ds = digits[k - 1]
+        if len(ds) == 1:                 # one residue shifts the run
+            o += ds.start * w
+        elif c == 1:                     # a single index becomes a progression
+            o, t, c = o + ds.start * w, ds.step * w, len(ds)
+        elif t * c == ds.step * w:       # each copy starts where the last ends
+            o, c = o + ds.start * w, c * len(ds)
+        else:
+            break
+        k -= 1
+        w *= orders[k]
+    heads = [0]
+    for m, ds in zip(orders[:k], digits[:k]):
+        heads = [h * m + x for h in heads for x in ds]
+    if c < RUN_MIN:
+        run = range(o, o + t * c, t)
+        return [h * w + x for h in heads for x in run]
+    return list(chain.from_iterable([range(h * w + o, h * w + o + t * c, t)
+                                     for h in heads]))
 
 
 def subgroup_members(g: FinAbGroup, formula: PPFormula) -> List[int]:
@@ -154,22 +185,37 @@ def shatter_function(s: SetFamily, n: int) -> int:
     most = _check_sample(s, n)
     if n == 0:
         return most
+    sets = list(dict.fromkeys(s.sets))           # equal sets, equal traces
     columns = [0] * s.carrier_size
-    for j, mask in enumerate(s.sets):
+    for j, mask in enumerate(sets):
         digits = bin(mask)[:1:-1]        # digits[x] is bit x of the mask
         x = digits.find("1")
         while x >= 0:
             columns[x] |= 1 << j
             x = digits.find("1", x + 1)
+    # points with equal columns are interchangeable, and a sample with two of
+    # them has the traces of a smaller one
+    columns = list(dict.fromkeys(columns))
+    n = min(n, len(columns))
+    w = max(col.bit_count() for col in columns)
+
+    def grow(k: int, d: int) -> int:
+        # a point splits at most min(k, w) of k cells: it is in w sets at most
+        for _ in range(d):
+            k += min(k, w)
+        return k
+
+    most = min(len(sets), grow(1, n))           # grow(1, n) <= 2^n
     best = 0
 
     def refine(cells: List[int], start: int, depth: int) -> bool:
         # every sample that adds `depth` points from `start` on, in
         # itertools.combinations order; True once one has `most` traces.
         # A cell of k sets splits into at most min(k, 2^d) cells over d more
-        # points, so a sample whose bound is no better than `best` stops.
+        # points, and the cells together as grow allows, so a sample whose
+        # bound is no better than `best` stops.
         nonlocal best
-        for x in range(start, s.carrier_size - depth + 1):
+        for x in range(start, len(columns) - depth + 1):
             col = columns[x]
             split = [part for c in cells for part in (c & col, c & ~col) if part]
             if depth == 1:
@@ -177,13 +223,14 @@ def shatter_function(s: SetFamily, n: int) -> int:
                     best = len(split)
                     if best == most:
                         return True
-            elif (sum(min(c.bit_count(), 2 ** (depth - 1)) for c in split) > best
+            elif (grow(len(split), depth - 1) > best
+                  and sum(min(c.bit_count(), 2 ** (depth - 1)) for c in split) > best
                   and refine(split, x + 1, depth - 1)):
                 return True
         return False
 
-    if s.sets:
-        refine([(1 << len(s.sets)) - 1], 0, n)
+    if sets:
+        refine([(1 << len(sets)) - 1], 0, n)
     return best
 
 

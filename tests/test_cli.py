@@ -634,6 +634,17 @@ class TestBoundedTime:
         assert classification == rank.Classification(True, True, False)
         assert vc.values == {1: 8000, 2: 16000}
 
+    def test_divisible_socles_refused_quickly(self):
+        # 2,000 moduli of 1,999 primes each are too long to print; each is
+        # the product of all the primes divided by one, so the family is
+        # built in linear time before the refusal
+        primes = [p for p in range(2, 20000) if is_prime(p)][:2000]
+        text = " + ".join("Z(%d^inf)^w" % p for p in primes)
+        cold = run_szk(["--json", "rank", text], timeout=1)
+        assert cold.code == 1 and cold.out == ""
+        assert cold.err.startswith("error: Exceeds the limit (4300 digits)")
+        assert cold.err.count("\n") == 1
+
     def test_beyond_exact_primality(self):
         cold = run_szk(["rank", "Z(%d^1)" % (33 * 10 ** 23)], timeout=10)
         assert cold.code == 1 and cold.out == ""

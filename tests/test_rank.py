@@ -3,13 +3,14 @@
 import importlib
 import itertools
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szk import corpus, rank
-from szk.core import direct_sum
+from szk.core import direct_sum, tor
 from szk.dsl import parse_group
 from szk.oracle import verify_inp
 from szk.rank import (classify, dp_rank, gap_count, rank_json, seed_witnesses,
@@ -183,6 +184,15 @@ class TestSeedWitnesses:
         assert len(by_tag["divisible-socles"]) == 1
         assert len(by_tag["cyclic-gaps:2"]) == 2
         assert len(by_tag["unbounded-length"]) == 1
+
+    @pytest.mark.parametrize("primes", [(2,), (3, 7), (2, 3, 5, 7, 11)])
+    def test_divisible_socles_moduli(self, primes):
+        # tor of the product of the other primes, or of p alone
+        desc = parse_group(" + ".join("Z(%d^inf)^w" % p for p in primes))
+        fams = {w.tag: w.formulas for w in seed_witnesses(desc)}
+        want = [p if len(primes) == 1 else prod(q for q in primes if q != p)
+                for p in primes]
+        assert fams["divisible-socles"] == tuple(tor(m) for m in want)
 
     def test_families_verify_against_oracle(self):
         texts = [

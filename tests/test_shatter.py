@@ -2,7 +2,8 @@
 
 import itertools
 import random
-from math import comb, gcd
+import time
+from math import comb, gcd, prod
 from typing import List, Sequence
 
 import pytest
@@ -143,6 +144,62 @@ class TestSubgroupMembers:
                 assert g.add(a, b) in s
 
 
+def _random_orders(rng: random.Random, cap: int) -> tuple:
+    """One to four component orders of product at most ``cap``."""
+    orders: List[int] = []
+    size = 1
+    for _ in range(rng.randint(1, 4)):
+        m = rng.choice((2, 3, 4, 5, 6, 8, 9, 12, 16, 25, 27, 30, 32, 49, 64))
+        if size * m <= cap:
+            orders.append(m)
+            size *= m
+    return tuple(orders) or (rng.randint(2, 40),)
+
+
+class TestMemberRuns:
+    """Member lists are built run by run: the listing equals the
+    residue-by-residue one on every kind of component."""
+
+    def test_digit_kinds(self):
+        # each component takes every residue, only 0, a stride, or a prefix
+        rng = random.Random(11)
+        for _ in range(3000):
+            orders = _random_orders(rng, 10 ** 4)
+            digits = []
+            for m in orders:
+                d = rng.choice([d for d in range(1, m + 1) if m % d == 0])
+                digits.append(rng.choice((range(m), range(0, m, m),
+                                          range(0, m, d), range(d))))
+            weights = [prod(orders[i + 1:]) for i in range(len(orders))]
+            expected = sorted(sum(x * w for x, w in zip(combo, weights))
+                              for combo in itertools.product(*digits))
+            assert shatter._mixed_radix(orders, digits) == expected, (orders, digits)
+
+    def test_members_against_reference(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            g = FinAbGroup(_random_orders(rng, 10 ** 4))
+            for f in _random_formulas(rng, primes=(2, 3, 5, 7), max_exp=3):
+                assert subgroup_members(g, f) == ref_subgroup_members(g, f), (
+                    g.orders, f)
+
+    @pytest.mark.parametrize("orders", [(2,), (64,), (30,), (10000,), (100, 100),
+                                        (4, 4, 25, 25), (3, 9, 27), (9, 9, 9, 9)])
+    def test_fixed_orders(self, orders):
+        rng = random.Random(repr(orders))
+        g = FinAbGroup(orders)
+        for _ in range(6):
+            for f in _random_formulas(rng, primes=(2, 3, 5), max_exp=3):
+                assert subgroup_members(g, f) == ref_subgroup_members(g, f)
+
+    def test_coset_order_unchanged(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            g = FinAbGroup(_random_orders(rng, 300))
+            formulas = _random_formulas(rng, primes=(2, 3, 5), max_exp=3)
+            assert coset_family(g, formulas) == ref_coset_family(g, formulas)
+
+
 class TestCosets:
     def test_partition_per_formula(self):
         g = from_description(parse_group("Z(4)"))
@@ -247,6 +304,27 @@ class TestShatter:
         assert computed == []
 
 
+# The carriers and formulas of the benchmark's shattering ops.
+SHATTER_CARRIERS = ("Z(4) + Z(4)", "Z(8) + Z(2^1)", "Z(4) + Z(2^1)^2",
+                    "Z(9) + Z(3^1)", "Z(16)")
+SHATTER_FORMULAS = ("tor(1)", "tor(2)", "tor(4)", "div(2,1,0)", "div(2,2,1)",
+                    "div(2,3,1)", "div(3,1,0)", "tor(3)")
+
+
+def _partition_family(rng: random.Random, size: int, parts: int) -> SetFamily:
+    """The blocks of ``parts`` random partitions of a ``size``-point carrier,
+    so that every point is in ``parts`` sets, with some sets repeated."""
+    sets: List[int] = []
+    for _ in range(parts):
+        blocks = [0] * rng.randint(1, size)
+        for x in range(size):
+            blocks[rng.randrange(len(blocks))] |= 1 << x
+        sets.extend(b for b in blocks if b)
+    sets.extend(rng.choice(sets) for _ in range(rng.randint(0, 3)))
+    rng.shuffle(sets)
+    return SetFamily(size, tuple(sets))
+
+
 def _random_formulas(rng: random.Random, primes=(2, 3), max_exp=2) -> List[PPFormula]:
     return [PPFormula.top() if rng.random() < 0.2
             else corpus.random_formula(rng, primes=primes, max_exp=max_exp)
@@ -284,12 +362,74 @@ class TestAgainstReference:
     def test_raw_families(self):
         rng = random.Random(7)
         families = [SetFamily(5, ()),
+                    SetFamily(1, ()),
+                    SetFamily(3, (0, 0)),
                     SetFamily(10, tuple((1 << i) - 1 for i in range(11))),
-                    SetFamily(8, (0b1111, 0b1111, 0b11110000, 0b00111100))]
+                    SetFamily(8, (0b1111, 0b1111, 0b11110000, 0b00111100)),
+                    # duplicate sets
+                    SetFamily(6, (0b101, 0b101, 0b11, 0b11, 0b110000, 0b101)),
+                    # points 0-1, 2-3 and 4-5 have equal columns
+                    SetFamily(6, (0b000011, 0b001100, 0b110011, 0b111100)),
+                    # two distinct columns, so n runs past them
+                    SetFamily(6, (0b111000, 0b000111)),
+                    SetFamily(5, (0b11111,) * 3),
+                    # one set per point (w = 1): singletons and a partition
+                    SetFamily(7, tuple(1 << i for i in range(7))),
+                    SetFamily(7, (0b1, 0b110, 0b1111000)),
+                    # a point in every set
+                    SetFamily(6, (0b000011, 0b000101, 0b001001, 0b010001))]
         for _ in range(150):
             size = rng.randint(1, 12)
             families.append(SetFamily(size, tuple(
                 rng.getrandbits(size) for _ in range(rng.randint(0, 20)))))
+        for _ in range(150):
+            families.append(_partition_family(rng, rng.randint(1, 12),
+                                              rng.randint(1, 4)))
         for fam in families:
             for n in range(min(4, fam.carrier_size) + 1):
                 assert shatter_function(fam, n) == ref_shatter_function(fam, n)
+
+    @pytest.mark.parametrize("carrier", SHATTER_CARRIERS)
+    def test_bench_carriers(self, carrier):
+        # every one-formula family the benchmark shatters, and a few families
+        # of two or three formulas: pi(n) = min(index, n + 1) for one formula
+        g = from_description(parse_group(carrier))
+        formulas = [parse_formula(t) for t in SHATTER_FORMULAS]
+        rng = random.Random(carrier)
+        groups = [[f] for f in formulas]
+        groups += [rng.sample(formulas, rng.randint(2, 3)) for _ in range(6)]
+        for fs in groups:
+            fam = coset_family(g, fs)
+            assert fam == ref_coset_family(g, fs)
+            for n in range(4):
+                assert shatter_function(fam, n) == ref_shatter_function(fam, n)
+            if len(fs) == 1:
+                index = len(fam.sets)
+                assert [shatter_function(fam, n) for n in range(1, 4)] == [
+                    min(index, n + 1) for n in range(1, 4)]
+
+
+class TestBoundedTime:
+    """The search stops once a sample reaches the column-weight bound."""
+
+    def test_two_formula_family(self):
+        # every point is in two sets, so pi(3) <= 1 + 1 + 2 + 2 = 6 bounds the
+        # pruning; the search tried about 10^5 samples without it
+        g = FinAbGroup((8, 16))
+        fam = coset_family(g, [parse_formula("tor(2)"), parse_formula("div(2,1,0)")])
+        t0 = time.perf_counter()
+        assert shatter_function(fam, 3) == 5
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_one_formula_families(self):
+        # one formula: pi(3) = min(index, 4), reached by the first sample of
+        # distinct columns; the whole search took about 4 ms for the eight
+        g = from_description(parse_group("Z(9) + Z(3^1)"))
+        families = [coset_family(g, [parse_formula(t)]) for t in SHATTER_FORMULAS]
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            values = [shatter_function(fam, 3) for fam in families]
+            best = min(best, time.perf_counter() - t0)
+        assert values == [min(len(fam.sets), 4) for fam in families]
+        assert best < 0.0015
