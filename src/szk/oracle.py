@@ -24,7 +24,8 @@ explores families of those profiles depth-first with three prunings, all
 of which preserve exhaustiveness:
 
   - a formula of finite index can never appear in a valid family;
-  - validity is closed downward, so supersets of invalid families die;
+  - validity is closed downward, so supersets of invalid families die: a
+    slot set whose domains' fixed point empties one is not grown;
   - every member of a valid family is the unique deepest local subgroup at
     some block, which bounds the depth by a per-block slot count.
 
@@ -32,8 +33,10 @@ The depth levels are scanned from the cap down, and the scan stops at the
 first level that holds a family.  This is exact: validity is closed
 downward, so every level below the depth holds a family and none above it
 does, and each level is searched exhaustively, so a level that fails holds
-no family at all.  The family returned is the first of its level in slot-set
-order, the one an upward scan would end on.
+no family at all.  A level is one depth-first scan of its slot sets in
+combinations order: a set grows one slot at a time from its prefix's fixed
+point, which a slot only shrinks.  The family returned is the first of its
+level in slot-set order, the one an upward scan would end on.
 """
 
 from __future__ import annotations
@@ -384,9 +387,9 @@ class BreadthResult(Record):
 # block's distinct locals once, and breadth_search keeps, per block, the
 # bitmask of the candidates holding each local.  Per slot, prefix and
 # suffix ors of those masks over the ranks give the candidates a local
-# beats and those that beat it; solve prunes its slot domains by and-ing
-# such masks.  It then splits the live mask on the masks of its slot blocks
-# and names each part by its lowest bit.
+# beats and those that beat it; scan and solve prune the slot domains by
+# and-ing such masks.  solve then splits the live mask on the masks of its
+# slot blocks and names each part by its lowest bit.
 
 _RANKS = {
     "max": lambda v: math.inf if v is None else v,   # None: the zero subgroup
@@ -490,38 +493,17 @@ def _breadth_search(strict: SzmielewDescription, B: int, maxK: int
         return all(_index(blocks, rest, full).is_infinite
                    for rest, full in _leave_one_out(blocks, locs))
 
-    def solve(chosen_slots: Tuple[int, ...]) -> Optional[List[int]]:
-        """Find a family occupying exactly these slots, or prove none exists.
+    def solve(S: List[tuple], doms: List[int]) -> Optional[List[int]]:
+        """Find a family occupying exactly the slots S, from their domains
+        at the fixed point, or prove none exists.
 
-        Each domain, a bitmask over the candidates, starts as those that can
-        occupy its slot and is pruned to a fixed point: only the losers to
-        the top local a domain still holds survive in the others.  Only if
-        none empties are members searched.  Validity at these slots only
-        depends on the locals at the slot blocks, so the live candidates
-        fall into classes that share those locals, and each class is named
-        by its lowest bit: a domain keeps only the names, and members are
-        tried by ascending bit.  Any family witnessed elsewhere is found
-        under the slot set naming its actual witness blocks.
+        Validity at these slots only depends on the locals at the slot
+        blocks, so the live candidates fall into classes that share those
+        locals, each named by its lowest bit: a domain keeps only the names,
+        and members are tried by ascending bit.  Any family witnessed
+        elsewhere is found under the slot set naming its witness blocks.
         """
-        S = [slots[si] for si in chosen_slots]
         t = len(S)
-
-        doms = [slot[4] for slot in S]
-        changed = True
-        while changed:
-            changed = False
-            for k, (_bi, masks, below, _wins, _occ) in enumerate(S):
-                if not doms[k]:
-                    return None
-                g = len(masks) - 1
-                while not masks[g] & doms[k]:
-                    g -= 1
-                keep = below[g]
-                for j in range(t):
-                    if j != k and doms[j] & keep != doms[j]:
-                        doms[j] &= keep
-                        changed = True
-
         live = 0
         for d in doms:
             live |= d
@@ -559,20 +541,48 @@ def _breadth_search(strict: SzmielewDescription, B: int, maxK: int
 
         return assign(0, doms, [])
 
+    def scan(t: int, S: List[tuple], doms: List[int], start: int
+             ) -> Optional[List[int]]:
+        """The first family on t slots that extend S, in combinations order.
+
+        Each domain, a bitmask over the candidates, starts as those that can
+        occupy its slot and is pruned to a fixed point: only the losers to
+        the top local a domain still holds survive in the others.  The
+        pruning is monotone and only shrinks domains, so the fixed point
+        reached from the prefix's is the one reached from scratch.
+        """
+        changed = True
+        while changed:
+            changed = False
+            for k, (_bi, masks, below, _wins, _occ) in enumerate(S):
+                if not doms[k]:
+                    return None
+                g = len(masks) - 1
+                while not masks[g] & doms[k]:
+                    g -= 1
+                keep = below[g]
+                for j in range(len(S)):
+                    if j != k and doms[j] & keep != doms[j]:
+                        doms[j] &= keep
+                        changed = True
+        if len(S) == t:
+            return solve(S, doms)
+        used = {slot[0] for slot in S}
+        for si in range(start, len(slots) - t + len(S) + 1):
+            bi = slots[si][0]
+            # two modes of one block (a tail) need multiplicity omega
+            if bi in used and not is_omega(blocks[bi][2]):
+                continue
+            found = scan(t, S + [slots[si]], doms + [slots[si][4]], si + 1)
+            if found is not None:
+                return found
+        return None
+
     # validity is closed downward, so the depth is the highest level that
     # holds a family: scan from the cap down and stop at the first
     best: List[int] = []
     for t in range(target, 0, -1):
-        for chosen in itertools.combinations(range(len(slots)), t):
-            used = [slots[si][0] for si in chosen]
-            # two modes of one block (a tail) need multiplicity omega
-            if any(used.count(bi) > 1 and not is_omega(blocks[bi][2])
-                   for bi in set(used)):
-                continue
-            found = solve(chosen)
-            if found is not None:
-                best = found
-                break
+        best = scan(t, [], [], 0) or []
         if best:
             break
     capped = len(best) >= maxK and maxK < ub

@@ -9,6 +9,7 @@ and by the report's witnesses property, which rank_json prints.
 
 from __future__ import annotations
 
+import sys
 from math import prod
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -127,7 +128,8 @@ def seed_witnesses(desc: SzmielewDescription) -> Tuple[WitnessFamily, ...]:
     """Constructive inp-families certifying the closed-form contributions.
 
     Each family is valid on its own (checked downstream by the oracle); the
-    tag names what the family certifies, and its size equals that term.
+    tag names what the family certifies, and its size equals that term.  A
+    divisible-socles modulus too long to print raises ValueError unbuilt.
     """
     return _seed_witnesses(_derived_sets(normalize(desc)))
 
@@ -140,8 +142,14 @@ def _seed_witnesses(ds: DerivedSets) -> Tuple[WitnessFamily, ...]:
     if ds.d_inf:
         primes = sorted(ds.d_inf)
         # each modulus is the product of the other primes, read off the
-        # product of all of them
+        # product of all of them.  The longest is measured before any is
+        # built, as Index.value measures an index: past the digit limit it
+        # could not be printed
         whole = prod(primes)
+        limit = sys.get_int_max_str_digits()
+        if limit and len(primes) > 1 and whole // primes[0] >= 10 ** limit:
+            raise ValueError("divisible-socles witness family has moduli of "
+                             "over %d digits, too long to print" % limit)
         fams = tuple(tor(whole // p if len(primes) > 1 else p) for p in primes)
         out.append(WitnessFamily("divisible-socles", fams))
     for p in sorted(ds.u_inf_at):

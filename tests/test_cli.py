@@ -635,15 +635,25 @@ class TestBoundedTime:
         assert vc.values == {1: 8000, 2: 16000}
 
     def test_divisible_socles_refused_quickly(self):
-        # 2,000 moduli of 1,999 primes each are too long to print; each is
-        # the product of all the primes divided by one, so the family is
-        # built in linear time before the refusal
+        # 2,000 moduli of 1,999 primes each are too long to print; the
+        # longest is measured from the product of all the primes before any
+        # is built
         primes = [p for p in range(2, 20000) if is_prime(p)][:2000]
         text = " + ".join("Z(%d^inf)^w" % p for p in primes)
-        cold = run_szk(["--json", "rank", text], timeout=1)
-        assert cold.code == 1 and cold.out == ""
-        assert cold.err.startswith("error: Exceeds the limit (4300 digits)")
-        assert cold.err.count("\n") == 1
+        for command in ("rank", "witness"):
+            cold = run_szk(["--json", command, text], timeout=1)
+            assert cold.code == 1 and cold.out == ""
+            assert cold.err == ("error: divisible-socles witness family has "
+                                "moduli of over 4300 digits, too long to "
+                                "print\n")
+
+    def test_deep_breadth(self):
+        # adjacent omega blocks of the split tail conflict in pairs, and the
+        # slot scan grows no slot set past such a pair
+        cold = run_szk(["breadth", "tail(2,w)", "--pool-bound", "22",
+                        "--max-depth", "12"], timeout=2)
+        assert cold.code == 0, cold.err
+        assert cold.out.splitlines()[0] == "depth: 12"
 
     def test_beyond_exact_primality(self):
         cold = run_szk(["rank", "Z(%d^1)" % (33 * 10 ** 23)], timeout=10)

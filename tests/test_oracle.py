@@ -46,6 +46,12 @@ CAP_ABOVE_DEPTH = [
      " + forall_p{Z_(P)^2 + Z(P^inf)^2}", 2, 6, 1),
 ]
 
+# the tail ladders, where adjacent omega blocks conflict in pairs: (group,
+# pool bound, depth)
+TAIL_LADDERS = ([("tail(2,w)", B, (B + 3) // 2) for B in range(1, 9)]
+                + [("tail(2,w) + tail(3,w)", B, depth)
+                   for B, depth in zip(range(1, 5), (3, 4, 6, 6))])
+
 
 def witness_set(result):
     return {render_formula(f) for f in result.witness}
@@ -737,6 +743,17 @@ class TestSearchMatchesReference:
         for B in range(1, 11):
             self.check(parse_group("tail(2,w)"), B, 12)
 
+    @pytest.mark.parametrize("text,B,depth", TAIL_LADDERS, ids=[
+        "%s-%d" % ("tail23" if "3" in text else "tail2", B)
+        for text, B, _depth in TAIL_LADDERS])
+    def test_tail_ladders_at_and_above_the_depth(self, text, B, depth):
+        # the scan grows no slot set whose fixed point has emptied a domain;
+        # the reference solves every set.  At depth + 1 the cap's level fails
+        g = parse_group(text)
+        for maxK in (depth, depth + 1):
+            self.check(g, B, maxK)
+        assert breadth_search(g, B, depth + 1).depth == depth
+
     @pytest.mark.parametrize("text", [
         "Z(2^1)^2 + Z(3^4)^2 + Z_(2)^2 + Z_(7)^2",
         "Z(3^1) + Z(3^5) + forall_p{Z_(P)}",
@@ -843,3 +860,15 @@ class TestInfiniteRankSide:
         r = breadth_search(parse_group("tail(2,w)"), 24, 5)
         assert time.perf_counter() - start < 1.5
         assert r.depth == 5
+
+    @pytest.mark.parametrize("text,B,maxK", [
+        ("tail(2,w)", 24, 13), ("tail(2,w) + tail(3,w)", 16, 16)],
+        ids=["tail2-24", "tail23-16"])
+    def test_cap_at_the_depth_in_bounded_time(self, text, B, maxK):
+        # almost every slot set of the cap's level holds two adjacent omega
+        # blocks, a pair whose fixed point empties a domain, and the scan
+        # grows no slot set past such a pair
+        start = time.perf_counter()
+        r = breadth_search(parse_group(text), B, maxK)
+        assert time.perf_counter() - start < 1.0
+        assert r.depth == maxK

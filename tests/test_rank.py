@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szk import corpus, rank
-from szk.core import direct_sum, tor
+from szk.core import direct_sum, is_prime, tor
 from szk.dsl import parse_group
 from szk.oracle import verify_inp
 from szk.rank import (classify, dp_rank, gap_count, rank_json, seed_witnesses,
@@ -193,6 +193,19 @@ class TestSeedWitnesses:
         want = [p if len(primes) == 1 else prod(q for q in primes if q != p)
                 for p in primes]
         assert fams["divisible-socles"] == tuple(tor(m) for m in want)
+
+    def test_divisible_socles_refused_past_the_digit_limit(self):
+        # with the first 1,229 primes the longest modulus, the product of
+        # all but 2, has 4,298 digits and prints; one prime more passes the
+        # limit, and the family is refused before any modulus is built
+        primes = [p for p in range(2, 11000) if is_prime(p)]
+        fams = {w.tag: w.formulas for w in seed_witnesses(parse_group(
+            " + ".join("Z(%d^inf)^w" % p for p in primes[:1229])))}
+        assert len(str(fams["divisible-socles"][0].atoms[0].m)) == 4298
+        desc = parse_group(" + ".join("Z(%d^inf)^w" % p for p in primes[:1230]))
+        with pytest.raises(ValueError, match="^divisible-socles witness "):
+            seed_witnesses(desc)
+        assert dp_rank(desc).dp == 1230
 
     def test_families_verify_against_oracle(self):
         texts = [
