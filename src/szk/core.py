@@ -509,6 +509,11 @@ def make_description(cyclic: Optional[Dict[Tuple[int, int], Mult]] = None,
 
 SPLIT_CAP = 10 ** 4    # the explicit cyclic blocks raised tail cutoffs may add
 
+# The descriptions whose strict form, derived sets, rank report and blocks
+# the memos of normalize, rank and ppeval keep: one op asks several questions
+# of one group, and a stream of groups reuses nothing across them
+DESCRIPTION_MEMO = 4
+
 
 def _raise_cutoffs(cyclic: Dict[Tuple[int, int], Mult],
                   raises: List[Tuple[int, TailSpec, int]]) -> None:

@@ -3,14 +3,19 @@
 The strict form is the unique representative of an elementary equivalence
 class; ``is_equivalent`` compares strict forms structurally.  Invariant
 reports are a property-test cross-check, not the decision procedure.
+
+``normalize`` and the derived sets of a strict form are kept for the last
+``core.DESCRIPTION_MEMO`` descriptions, so an equal description gets the
+same records back: they are shared, and read-only.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, FrozenSet, Optional, Tuple, Union
 
-from .core import (INFINITE, OMEGA, Mult, Record, SzmielewDescription,
-                   _Infinite, is_omega, make_description)
+from .core import (DESCRIPTION_MEMO, INFINITE, OMEGA, Mult, Record,
+                   SzmielewDescription, _Infinite, is_omega, make_description)
 
 Value = Union[int, _Infinite]  # an exact cardinality p^k, or infinite
 
@@ -108,13 +113,15 @@ def invariants(desc: SzmielewDescription) -> InvariantReport:
                            defaults=defaults)
 
 
+@functools.lru_cache(maxsize=DESCRIPTION_MEMO)
 def normalize(desc: SzmielewDescription) -> SzmielewDescription:
     """Reduce to the unique strict form.
 
     Three reductions: unbounded-length primes shed their Z_(p) and Z(p^inf)
     parts; the Q part vanishes whenever the rest has unbounded exponent or
     any torsion-free or divisible part survives; a surviving Q part is
-    inflated to multiplicity omega.
+    inflated to multiplicity omega.  Equal descriptions may share one
+    returned strict form.
     """
     tails = desc.tail_dict()
     tf = {p: m for p, m in desc.tf_dict().items() if p not in tails}
@@ -152,8 +159,10 @@ def derived_sets(desc: SzmielewDescription) -> DerivedSets:
     return _derived_sets(normalize(desc))
 
 
+@functools.lru_cache(maxsize=DESCRIPTION_MEMO)
 def _derived_sets(strict: SzmielewDescription) -> DerivedSets:
-    """The derived sets of a description already in strict form."""
+    """The derived sets of a description already in strict form; equal
+    strict forms may share one record, whose u_inf_at is read-only."""
     tf_inf = frozenset(p for p, m in strict.tf if is_omega(m))
     d_inf = frozenset(p for p, m in strict.div if is_omega(m))
     u_inf_at: Dict[int, FrozenSet[int]] = {}

@@ -6,6 +6,10 @@ unbounded-length prime, and one residual block for an all-primes tail.
 Tails are split far enough that every formula atom acts uniformly on the
 residual, which makes the (a, b) pair coordinates exact.
 
+The blocks of the last core.DESCRIPTION_MEMO (description, splits) pairs
+are kept, so profiles over one description share their block tuples; every
+returned record is read-only.
+
 Each block kind has one entry in KINDS, which says what its local subgroup
 coordinates are and holds every rule that depends on the kind.  None
 encodes the extreme value of a coordinate.
@@ -13,9 +17,10 @@ encodes the extreme value of a coordinate.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Iterable, Optional, Tuple, Union
 
-from .core import (INFINITE, Index, Mult, PPFormula, Record,
+from .core import (DESCRIPTION_MEMO, INFINITE, Index, Mult, PPFormula, Record,
                    SzmielewDescription, Div, _Infinite, _raise_cutoffs,
                    is_omega, p_adic_valuation, prime_factors)
 
@@ -36,7 +41,18 @@ def _blocks_for(desc: SzmielewDescription, formulas: Iterable[PPFormula]
     extra: Tuple[int, ...] = ()
     if desc.prime_tail is not None:
         extra = tuple(sorted(set(bounds) - set(desc.primes())))
-    return materialize(desc, bounds, extra)
+    # materialize reads a bound only where it passes its tail's cutoff
+    splits = tuple((p, bounds[p]) for p, spec in desc.cyclic_tail
+                   if bounds.get(p, 0) > spec.cutoff)
+    return _materialized(desc, splits, extra)
+
+
+@functools.lru_cache(maxsize=DESCRIPTION_MEMO)
+def _materialized(desc: SzmielewDescription, splits: Tuple[Tuple[int, int], ...],
+                  extra_primes: Tuple[int, ...]) -> Tuple[Block, ...]:
+    """materialize with the tails in splits split at their bounds: equal
+    arguments give equal blocks, so they share one tuple."""
+    return materialize(desc, dict(splits), extra_primes)
 
 
 def materialize(desc: SzmielewDescription, tail_bounds: Dict[int, int],

@@ -5,15 +5,21 @@ is computed twice, once by the four-case dispatch and once by the epsilon
 equation, and the two must agree; a disagreement is an internal error (CLI
 exit code 2), never a user error.  Witnesses are built only by seed_witnesses
 and by the report's witnesses property, which rank_json prints.
+
+The report of a strict form is kept for the last core.DESCRIPTION_MEMO
+strict forms, so dp_rank, classify and vc_density on equal descriptions share
+one RankReport: it is read-only, and rank_json copies its dicts.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from math import prod
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .core import PPFormula, Record, SzmielewDescription, div, tor
+from .core import (DESCRIPTION_MEMO, PPFormula, Record, SzmielewDescription,
+                   div, tor)
 from .normalize import (DerivedSets, _derived_sets, derived_sets_json,
                         normalize)
 
@@ -184,8 +190,9 @@ def _value(strict: SzmielewDescription, ds: DerivedSets, eps: Dict[str, int]
     return value, case
 
 
+@functools.lru_cache(maxsize=DESCRIPTION_MEMO)
 def _rank_of(strict: SzmielewDescription) -> RankReport:
-    """The rank report of a strict form."""
+    """The rank report of a strict form; equal strict forms may share one."""
     ds = _derived_sets(strict)
     eps = _epsilons(strict, ds)
     dp, case = _value(strict, ds, eps)
@@ -239,7 +246,7 @@ def rank_json(r: RankReport) -> dict:
         "dp": "inf" if r.dp is None else r.dp,
         "strong": r.strong,
         "case": r.case_tag,
-        "epsilons": r.epsilons,
+        "epsilons": dict(r.epsilons),
         "partition": {k: list(v) for k, v in r.partition.items()},
         "derived": derived_sets_json(r.derived),
         "witness": witnesses_json(r.witnesses),

@@ -1,5 +1,7 @@
-"""Shared fixtures: seeded corpora, JSON schema validation and cold CLI runs."""
+"""Shared fixtures: seeded corpora, JSON schema validation, cold CLI runs,
+and description memos emptied before each test."""
 
+import importlib
 import json
 import os
 import random
@@ -38,6 +40,26 @@ def validate_payload(schema_name: str, payload) -> None:
         schema_name += ".json"
     doc = json.loads((SCHEMA_DIR / schema_name).read_text())
     Draft202012Validator(doc, registry=_REGISTRY).validate(payload)
+
+
+# The small per-description memos of normalize, rank and ppeval (the oracle's
+# large memos have tests of their own that replay them)
+DESCRIPTION_MEMOS = tuple(
+    getattr(importlib.import_module("szk." + mod), name)
+    for mod, name in (("normalize", "normalize"), ("normalize", "_derived_sets"),
+                      ("rank", "_rank_of"), ("ppeval", "_materialized")))
+
+
+def clear_description_memos() -> None:
+    for memo in DESCRIPTION_MEMOS:
+        memo.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def empty_description_memos():
+    """No test reads a record that an earlier test, perhaps with a layer
+    patched, left in a description memo."""
+    clear_description_memos()
 
 
 @pytest.fixture(scope="session")

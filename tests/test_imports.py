@@ -94,15 +94,28 @@ def test_cold_import_loads_no_dataclasses():
         assert not added & {"dataclasses", "inspect"}
 
 
-def unbounded_memos(source: str):
-    """The lines of the `functools` memos that name no int maxsize: a
-    `cache`, a bare `lru_cache`, or one whose maxsize is not an int literal
-    or a module constant bound to one."""
-    tree = ast.parse(source)
-    ints = {target.id for node in tree.body if isinstance(node, ast.Assign)
+def int_constants(tree: ast.Module):
+    """The module-level names a module binds to an int literal."""
+    return {target.id for node in tree.body if isinstance(node, ast.Assign)
             and isinstance(node.value, ast.Constant)
             and type(node.value.value) is int
             for target in node.targets if isinstance(target, ast.Name)}
+
+
+def unbounded_memos(source: str, package=None):
+    """The lines of the `functools` memos that name no int maxsize: a
+    `cache`, a bare `lru_cache`, or one whose maxsize is not an int literal
+    or a module constant bound to one, in this module or in the sibling
+    module it imports the constant from (`package` maps a sibling's name
+    to its source)."""
+    tree = ast.parse(source)
+    ints = int_constants(tree)
+    for node in tree.body:
+        if (isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module in (package or {})):
+            there = int_constants(ast.parse(package[node.module]))
+            ints |= {alias.asname or alias.name for alias in node.names
+                     if alias.name in there}
     names = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module == "functools"
              for alias in node.names}
@@ -140,11 +153,23 @@ def test_finds_an_unbounded_memo():
         "g = functools.lru_cache()(len)\n") == [9, 11, 13, 15, 17]
 
 
+def test_finds_an_unbounded_imported_memo_size():
+    package = {"core": "SIZE = 4\nNAME = 'x'\n"}
+    assert unbounded_memos(
+        "import functools\nfrom .core import SIZE as S, NAME\n"
+        "from .other import MORE\n"
+        "@functools.lru_cache(maxsize=S)\ndef a(): pass\n"
+        "@functools.lru_cache(maxsize=NAME)\ndef b(): pass\n"
+        "@functools.lru_cache(maxsize=MORE)\ndef c(): pass\n",
+        package) == [6, 8]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_memos_are_bounded(path):
     # a memo lives as long as the process: a `fuzz` stream or a library
     # caller would grow an unbounded one without limit
-    assert unbounded_memos(path.read_text()) == []
+    package = {p.stem: p.read_text() for p in SOURCES}
+    assert unbounded_memos(path.read_text(), package) == []
 
 
 def read_names(tree: ast.AST) -> Counter:
