@@ -167,13 +167,12 @@ def _shatter_text(p: dict) -> str:
 
 def _fuzz_one(desc) -> Optional[str]:
     from . import oracle, rank
-    # normalized once for both sides
-    strict = normalize(desc)
-    dp = rank._rank_of(strict).dp
+    # normalize's memo builds one strict form for the three calls
+    dp = rank.dp_rank(desc).dp
     if dp is None:
         return "corpus produced an infinite-rank description: %s" % render_group(desc)
-    b0 = strict.max_exponent() + 2
-    result = oracle._breadth_search(strict, b0, dp + 1)
+    b0 = normalize(desc).max_exponent() + 2
+    result = oracle.breadth_search(desc, b0, dp + 1)
     if result.depth != dp:
         return ("disagreement on %s: closed form %d, oracle %d (B0=%d)"
                 % (render_group(desc), dp, result.depth, b0))

@@ -25,7 +25,8 @@ of which preserve exhaustiveness:
 
   - a formula of finite index can never appear in a valid family;
   - validity is closed downward, so supersets of invalid families die: a
-    slot set whose domains' fixed point empties one is not grown;
+    slot set whose domains' fixed point empties one is not grown, and once
+    a family has failed, a partial family is checked before it grows;
   - every member of a valid family is the unique deepest local subgroup at
     some block, which bounds the depth by a per-block slot count.
 
@@ -132,17 +133,6 @@ def _prime_columns(p: int, B: int, blocks: Tuple[Tuple[str, tuple], ...]):
             tuple((atom, c) for c, atom in firsts.items()), whole_at)
 
 
-def _moduli(pms: Tuple[Tuple[int, ...], ...], m0: int) -> List[int]:
-    """The least m of each class product, in itertools.product order:
-    pms[g] holds the least m of each class of group g, and product 0 has
-    m0."""
-    ms = [1]
-    for classes in pms:
-        ms = [m * pm for m in ms for pm in classes]
-    ms[0] = m0
-    return ms
-
-
 PRODUCT_MEMO = 1024   # the torsion product spaces that _products keeps
 
 
@@ -157,7 +147,11 @@ def _products(pms: Tuple[Tuple[int, ...], ...], m0: int):
     the bitmask of the products holding that class, bit j being the j-th
     product of that order.
     """
-    ms = _moduli(pms, m0)
+    # the least m of each product
+    ms = [1]
+    for classes in pms:
+        ms = [m * pm for m in ms for pm in classes]
+    ms[0] = m0
     order = sorted(range(len(ms)), key=ms.__getitem__)[m0 == 1:]
     # a group's classes repeat with a period in product order: one code
     # string of them, permuted to search order with the last product first,
@@ -332,9 +326,9 @@ def candidate_pool(desc: SzmielewDescription, B: int) -> List[PPFormula]:
         raise ValueError("pool bound must be >= 1")
     primes, blocks = _pool(normalize(desc), B)
     pool = _Pool(primes, B, blocks)
-    ms = _moduli(pool.pms, pool.m0)
-    return ([tor(ms[i]) for i in pool.order]
-            + [PPFormula.of(atom) for atom, _g, _c in pool.divs])
+    n = len(pool.divs)
+    return [*map(pool.formula, range(n, n + len(pool.order))),
+            *map(pool.formula, range(n))]
 
 
 def _leave_one_out(blocks: Tuple[Block, ...], locs: Sequence[tuple]
@@ -445,14 +439,9 @@ def _slot_bound(blocks: Tuple[Block, ...]) -> int:
 
 
 def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResult:
-    return _breadth_search(normalize(desc), B, maxK)
-
-
-def _breadth_search(strict: SzmielewDescription, B: int, maxK: int
-                    ) -> BreadthResult:
     if B < 1 or maxK < 1:
         raise ValueError("pool bound and depth cap must be >= 1")
-    primes, blocks = _pool(strict, B)
+    primes, blocks = _pool(normalize(desc), B)
     # a block without slots (a finite-multiplicity cyclic block) can never
     # contribute an infinite index, so validity only depends on the locals
     # of the other blocks
@@ -516,12 +505,21 @@ def _breadth_search(strict: SzmielewDescription, B: int, maxK: int
             reps |= part & -part
         doms = [d & reps for d in doms]
         order = sorted(range(t), key=lambda k: doms[k].bit_count())
+        # once a leaf has failed, a partial family of two or more members is
+        # checked before it grows: validity is closed downward, so this cuts
+        # only subtrees without a valid leaf
+        failed = False
 
         def assign(step: int, doms: List[int], picked: List[int]
                    ) -> Optional[List[int]]:
-            if step == t:
+            nonlocal failed
+            if step == t or failed and step >= 2:
                 idxs = sorted(bit.bit_length() - 1 for bit in picked)
-                return idxs if family_valid(idxs) else None
+                if not family_valid(idxs):
+                    failed = True
+                    return None
+                if step == t:
+                    return idxs
             k, later = order[step], order[step + 1:]
             todo = doms[k]
             while todo:

@@ -23,6 +23,11 @@ SCHEMA_DIR = ROOT / "src" / "szk" / "schemas"
 CORPUS_SEED = 12345
 CORPUS_SIZE = 200
 
+# a mixed-corpus group whose member search at B = 3, cap 5 fails leaf after
+# leaf: checking only complete families, it took minutes there
+MANY_FAILING_LEAVES = ("tail(2,cutoff=2) + tail(3,cutoff=2) + tail(5,w,cutoff=3)"
+                       " + forall_p{Z(P^2) + Z_(P)^w + Z(P^inf)^w}")
+
 
 def _registry() -> Registry:
     resources = []

@@ -213,3 +213,48 @@ def test_finds_an_unread_private_name():
 def test_no_test_only_private_name():
     # a private helper that only tests read belongs in the tests
     assert unread_privates({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def dotted(node: ast.expr) -> str:
+    if isinstance(node, ast.Attribute):
+        return dotted(node.value) + "." + node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def foreign_privates(source: str):
+    """(line, name) of each `_private` name of another `szk` module that
+    source imports, or reads as an attribute of an `szk` module."""
+    tree = ast.parse(source)
+    modules, out = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.partition(".")[0] == "szk"):
+            for alias in node.names:
+                if private(alias.name):
+                    out.append((node.lineno, alias.name))
+                if node.module in (None, "szk"):
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name.partition(".")[0] == "szk")
+    out += [(node.lineno, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and private(node.attr)
+            and dotted(node.value) in modules]
+    return sorted(out)
+
+
+def test_finds_a_foreign_private_name():
+    source = ("from . import oracle, rank as r\nfrom .core import _a, b\n"
+              "import szk.normalize\nfrom szk.ppeval import _c\n"
+              "x = r._d, oracle.e, szk.normalize._f, self._g, oracle.__name__\n")
+    assert foreign_privates(source) == [(2, "_a"), (4, "_c"), (5, "_d"),
+                                        (5, "_f")]
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    # the command line runs the public calls that the library documents
+    assert foreign_privates((ROOT / "src" / "szk" / "cli.py").read_text()) == []

@@ -16,6 +16,7 @@ from szk.oracle import (PoolOverflowError, breadth_search, candidate_pool,
                         verify_inp)
 from szk.ppeval import KINDS, _index, _locals
 from szk.rank import dp_rank
+from tests.conftest import MANY_FAILING_LEAVES
 
 G10 = ("Z(2^1)^w + Z(2^3)^w + Z(2^5)^w + Z(2^7)^w + Z(3^1)^w + Z(3^3)^w"
        " + Z_(5)^w + Z_(7)^w + Z(11^inf)^w + tail(13)")
@@ -703,6 +704,13 @@ class TestSearchMatchesReference:
         for text, B, maxK, _depth in CAP_ABOVE_DEPTH:
             self.check(parse_group(text), B, maxK)
 
+    def test_many_failing_leaves(self):
+        # leaf after leaf fails here, so partial families are checked before
+        # they grow; at B = 3, cap 5 the reference takes minutes
+        g = parse_group(MANY_FAILING_LEAVES)
+        for B, maxK in ((2, 5), (3, 4)):
+            self.check(g, B, maxK)
+
     def test_slowest_fuzz_shape(self):
         g = parse_group(P98_SHAPE)
         primes, blocks = oracle._pool(normalize(g), 7)
@@ -860,6 +868,17 @@ class TestInfiniteRankSide:
         r = breadth_search(parse_group("tail(2,w)"), 24, 5)
         assert time.perf_counter() - start < 1.5
         assert r.depth == 5
+
+    def test_failing_leaves_in_bounded_time(self):
+        # checking only complete families, this search ran for minutes
+        g = parse_group(MANY_FAILING_LEAVES)
+        start = time.perf_counter()
+        r = breadth_search(g, 3, 5)
+        assert time.perf_counter() - start < 5
+        assert (r.depth, r.exhausted) == (5, False)
+        assert [render_formula(f) for f in r.witness] == [
+            "div(5,3,0)", "tor(750)", "tor(1050)", "tor(1750)", "tor(2625)"]
+        assert verify_inp(g, r.witness).valid
 
     @pytest.mark.parametrize("text,B,maxK", [
         ("tail(2,w)", 24, 13), ("tail(2,w) + tail(3,w)", 16, 16)],
