@@ -87,9 +87,14 @@ def _classify(args) -> dict:
     return rank.classify_json(rank.classify(parse_group(args.group)))
 
 
+_VC_M_CAP = 10 ** 5   # the payload holds one value per m
+
+
 def _vc(args) -> dict:
     if args.m < 1:
         raise ValueError("--m must be at least 1")
+    if args.m > _VC_M_CAP:
+        raise ValueError("--m must be at most %d" % _VC_M_CAP)
     from . import rank
     return rank.vc_json(rank.vc_density(parse_group(args.group),
                                         range(1, args.m + 1)))
@@ -194,7 +199,9 @@ def _fuzz(args) -> dict:
         raise ValueError("--jobs must be at least 1")
     rng = random.Random(args.seed)
     descs = (corpus.random_description(rng) for _ in range(args.count))
-    jobs = min(args.jobs, args.count)    # never more workers than items
+    # the pool forks all its workers at the first submission: never more
+    # than there are items or CPUs
+    jobs = min(args.jobs, args.count, os.cpu_count() or 1)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:

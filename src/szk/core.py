@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import sys
 from math import gcd
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Collection, Dict, List, Optional, Tuple, Union
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +307,26 @@ def p_adic_valuation(n: int, p: int) -> int:
     return v
 
 
+def power_product(factors: Collection[Tuple[int, int]]) -> int:
+    """The product of p^e over the (p, e) pairs.  An integer too long to
+    print (past ``sys.get_int_max_str_digits()``) raises the ValueError that
+    printing it would, before it is built."""
+    # the value is at least 2^bits, which passes 10^limit once
+    # bits > limit * log2(10)
+    bits = 0
+    for p, e in factors:
+        bits += e * (p.bit_length() - 1)
+    limit = sys.get_int_max_str_digits()
+    if limit and bits > 3.322 * limit:
+        raise ValueError("Exceeds the limit (%d digits) for integer string "
+                         "conversion; use sys.set_int_max_str_digits() to "
+                         "increase the limit" % limit)
+    out = 1
+    for p, e in factors:
+        out *= p ** e
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Index classes
 
@@ -352,23 +372,10 @@ class Index(Record):
         return self.factors == ()
 
     def value(self) -> int:
-        """The index as an integer.  An integer too long to print (past
-        ``sys.get_int_max_str_digits()``) raises the ValueError that printing
-        it would, before it is built."""
+        """The index as an integer; see power_product."""
         if self.factors is None:
             raise ValueError("infinite index has no integer value")
-        limit = sys.get_int_max_str_digits()
-        # the value is at least 2^bits, which passes 10^limit once
-        # bits > limit * log2(10)
-        bits = sum(e * (p.bit_length() - 1) for p, e in self.factors)
-        if limit and bits > 3.322 * limit:
-            raise ValueError("Exceeds the limit (%d digits) for integer string "
-                             "conversion; use sys.set_int_max_str_digits() to "
-                             "increase the limit" % limit)
-        out = 1
-        for p, e in self.factors:
-            out *= p ** e
-        return out
+        return power_product(self.factors)
 
     def __mul__(self, other: "Index") -> "Index":
         if self.factors is None or other.factors is None:

@@ -15,13 +15,14 @@ import functools
 from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from .core import (DESCRIPTION_MEMO, INFINITE, OMEGA, Mult, Record,
-                   SzmielewDescription, _Infinite, is_omega, make_description)
+                   SzmielewDescription, _Infinite, is_omega, make_description,
+                   power_product)
 
 Value = Union[int, _Infinite]  # an exact cardinality p^k, or infinite
 
 
 def _power(p: int, m: Mult) -> Value:
-    return INFINITE if is_omega(m) else p ** m
+    return INFINITE if is_omega(m) else power_product(((p, m),))
 
 
 class TailDefault(Record):

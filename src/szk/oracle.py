@@ -27,8 +27,10 @@ of which preserve exhaustiveness:
   - validity is closed downward, so supersets of invalid families die: a
     slot set whose domains' fixed point empties one is not grown, and once
     a family has failed, a partial family is checked before it grows;
-  - every member of a valid family is the unique deepest local subgroup at
-    some block, which bounds the depth by a per-block slot count.
+  - every member of a valid family is the strict extreme at some slot, and
+    a family holds each slot key once (a finite-multiplicity block gives
+    one key, an omega block one per mode), which bounds the depth by the
+    number of keys.
 
 The depth levels are scanned from the cap down, and the scan stops at the
 first level that holds a family.  This is exact: validity is closed
@@ -377,6 +379,11 @@ class BreadthResult(Record):
 # whole, and it beats every member whose local it outranks.  One rule
 # narrows this: a finite-multiplicity tail's offset slot needs every bound
 # unbounded, the occupant's own included, so only such locals count there.
+# The bound slot's occupant has a finite bound, so a family holds at most
+# one slot of a finite-multiplicity block.  A slot's key is therefore its
+# block at a finite multiplicity and its block and mode at omega: a slot set
+# holds each key once, and the number of keys bounds the depth.
+#
 # Each rank reads the local of one block only, so _block_table ranks a
 # block's distinct locals once, and breadth_search keeps, per block, the
 # bitmask of the candidates holding each local.  Per slot, prefix and
@@ -400,16 +407,13 @@ BLOCK_MEMO = 4096     # the (block, locals) tables that _block_table keeps
 
 @functools.lru_cache(maxsize=BLOCK_MEMO)
 def _block_table(block: Block, vals: frozenset):
-    """The locals in vals of infinite index in the whole block, and per mode
-    of the block, the locals that count there in tie groups of ascending
-    rank, with the number of groups that do not outrank the whole."""
-    kind, data, mult = block
-    entry = KINDS[kind]
-    w = entry.whole
-    infinite = tuple(v for v in vals
-                     if v != w and entry.index(data, mult, w, v) is None)
+    """Per mode of the block, the locals in vals that count there in tie
+    groups of ascending rank, with the number of groups that do not outrank
+    the whole."""
+    kind, _data, mult = block
+    w = KINDS[kind].whole
     tables = []
-    for name in entry.modes(mult):
+    for name in KINDS[kind].modes(mult):
         rank = _RANKS[name]
         counted = [v for v in vals if name != "taila" or is_omega(mult)
                    or v[1] is None]
@@ -417,25 +421,7 @@ def _block_table(block: Block, vals: frozenset):
                   itertools.groupby(sorted(counted, key=rank), key=rank)]
         tables.append((tuple(groups),
                        sum(rank(vs[0]) <= rank(w) for vs in groups)))
-    return infinite, tuple(tables)
-
-
-def _slot_bound(blocks: Tuple[Block, ...]) -> int:
-    """Upper bound on any valid family's size from unique-extreme slots.
-
-    Each member of a valid family must be the strict extreme at some block:
-    the unique deepest on a chain block, or the unique depth-offset maximum
-    or torsion-bound minimum on a tail block.  A finite-multiplicity tail
-    admits only one of the two: an offset jump with matching bounds has a
-    finite limit, so it needs multiplicity omega to go infinite, and the
-    all-unbounded configuration the offset slot needs excludes any member
-    with a finite bound there.
-    """
-    total = 0
-    for kind, _data, mult in blocks:
-        n = len(KINDS[kind].modes(mult))
-        total += n if is_omega(mult) else min(n, 1)
-    return total
+    return tuple(tables)
 
 
 def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResult:
@@ -452,25 +438,27 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
     pool = _Pool(primes, B, blocks)
     holders = pool.holders()
 
-    # a finite-index subgroup is never a member: only the candidates whose
-    # local has infinite index in the whole at some block can occupy a slot.
-    # Per slot: its block; per tie group, the candidates holding it, those
-    # it beats, and those that hold the slot and beat it, then a 0 for the
-    # locals that count nowhere; and the candidates that outrank the whole
-    infinite = 0
+    # a finite-index subgroup is never a member, and a local outranks the
+    # whole at some slot of its block exactly when its index in the whole
+    # block is infinite: the candidates that can be members are those that
+    # occupy some slot.  Per slot: its key; per tie group, the candidates
+    # holding it, those it beats, and those that hold the slot and beat it,
+    # then a 0 for the locals that count nowhere; and its occupants.  A
+    # family holds at most one slot per key, so the keys bound the depth
+    members = 0
     slots = []
     for bi, (block, held) in enumerate(zip(blocks, holders)):
-        inf_vals, tables = _block_table(block, frozenset(held))
-        infinite |= sum(map(held.__getitem__, inf_vals))
-        for groups, floor in tables:
+        tables = _block_table(block, frozenset(held))
+        for j, (groups, floor) in enumerate(tables):
+            key = (bi, j if is_omega(block[2]) else 0)
             masks = [sum(map(held.__getitem__, vs)) for vs in groups]
             below = [0, *itertools.accumulate(masks, int.__or__)]
             above = [*itertools.accumulate(reversed(masks), int.__or__,
                                            initial=0)][::-1]
             wins = [above[max(g, floor)] for g in range(1, len(above))]
-            slots.append((bi, masks, below, wins + [0], above[floor]))
-    slots = [(*slot[:4], infinite & slot[4]) for slot in slots]
-    ub = min(_slot_bound(blocks), infinite.bit_count())
+            members |= above[floor]
+            slots.append((key, masks, below, wins + [0], above[floor]))
+    ub = min(len({slot[0] for slot in slots}), members.bit_count())
     target = min(maxK, ub)
 
     def group(slot: tuple, bit: int) -> int:
@@ -497,7 +485,7 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
         for d in doms:
             live |= d
         parts = [live]
-        for bi in {slot[0] for slot in S}:
+        for bi in {slot[0][0] for slot in S}:
             parts = [sub for part in parts for m in holders[bi].values()
                      if (sub := part & m)]
         reps = 0
@@ -541,7 +529,8 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
 
     def scan(t: int, S: List[tuple], doms: List[int], start: int
              ) -> Optional[List[int]]:
-        """The first family on t slots that extend S, in combinations order.
+        """The first family on t slots that extend S, in combinations order,
+        on slots of distinct keys.
 
         Each domain, a bitmask over the candidates, starts as those that can
         occupy its slot and is pruned to a fixed point: only the losers to
@@ -552,7 +541,7 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
         changed = True
         while changed:
             changed = False
-            for k, (_bi, masks, below, _wins, _occ) in enumerate(S):
+            for k, (_key, masks, below, _wins, _occ) in enumerate(S):
                 if not doms[k]:
                     return None
                 g = len(masks) - 1
@@ -565,11 +554,9 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
                         changed = True
         if len(S) == t:
             return solve(S, doms)
-        used = {slot[0] for slot in S}
+        keys = {slot[0] for slot in S}
         for si in range(start, len(slots) - t + len(S) + 1):
-            bi = slots[si][0]
-            # two modes of one block (a tail) need multiplicity omega
-            if bi in used and not is_omega(blocks[bi][2]):
+            if slots[si][0] in keys:
                 continue
             found = scan(t, S + [slots[si]], doms + [slots[si][4]], si + 1)
             if found is not None:

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 from .core import (DESCRIPTION_MEMO, INFINITE, Index, Mult, PPFormula, Record,
                    SzmielewDescription, Div, _Infinite, _raise_cutoffs,
-                   is_omega, p_adic_valuation, prime_factors)
+                   is_omega, p_adic_valuation, power_product, prime_factors)
 
 Block = Tuple[str, tuple, Mult]
 
@@ -400,10 +400,7 @@ def profile_stats(h: SubgroupProfile) -> ProfileStats:
     cardinality = Index.from_factors(card) if finite else Index.infinite()
     if not bounded:
         return ProfileStats(cardinality, INFINITE)
-    exponent = 1
-    for p, e in sorted(exps.items()):
-        exponent *= p ** e
-    return ProfileStats(cardinality, exponent)
+    return ProfileStats(cardinality, power_product(exps.items()))
 
 
 # ---------------------------------------------------------------------------

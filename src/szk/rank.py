@@ -160,8 +160,6 @@ def _seed_witnesses(ds: DerivedSets) -> Tuple[WitnessFamily, ...]:
         out.append(WitnessFamily("divisible-socles", fams))
     for p in sorted(ds.u_inf_at):
         exps = [n + 1 for n in _gap_subset(ds.u_inf_at[p])]
-        if not exps:
-            continue
         fams = tuple(div(p, e, e - i) for i, e in enumerate(exps, start=1))
         out.append(WitnessFamily("cyclic-gaps:%d" % p, fams))
     if ds.u_inf:

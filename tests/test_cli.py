@@ -177,10 +177,30 @@ class TestExitCodes:
             started.append(max_workers)
             return concurrent.futures.ThreadPoolExecutor(max_workers)
 
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", threads)
         code, out, _ = run(capsys, "fuzz", "--count", str(count),
                            "--jobs", str(jobs))
         assert code == 0
+        assert started == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("cpus,workers", [(3, 3), (None, None)],
+                             ids=["three", "unknown"])
+    def test_fuzz_workers_capped_by_cpus(self, capsys, monkeypatch,
+                                         cpus, workers):
+        # the pool is never started here: with fork, every worker of an
+        # oversubscribed one would start at once
+        import concurrent.futures
+        started = []
+
+        def threads(max_workers):
+            started.append(max_workers)
+            return concurrent.futures.ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", threads)
+        code, out, _ = run(capsys, "fuzz", "--count", "4", "--jobs", "5000")
+        assert (code, out) == (0, "4 descriptions checked, zero disagreements\n")
         assert started == ([] if workers is None else [workers])
 
     @pytest.mark.parametrize("count,jobs", [(2, 2), (1, 8)])
@@ -255,6 +275,7 @@ class TestExitCodes:
         rng = random.Random(9)
         expected = [check(corpus.random_description(rng)) for _ in range(count)]
         expected = [r for r in expected if r is not None]
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         monkeypatch.setattr(cli, "_fuzz_one", check)
         outs = [run(capsys, "--json", "fuzz", "--count", str(count), "--seed", "9",
@@ -475,11 +496,25 @@ class TestColdPath:
 
 class TestBoundedTime:
     def test_huge_index_value(self):
-        # 2^(10^11) is never built: the value is refused by its size
-        cold = run_szk(["eval", "Z(2^1)^99999999999", "top"], timeout=10)
-        assert cold.code == 1 and cold.out == ""
-        assert cold.err.startswith("error: Exceeds the limit (")
-        assert cold.err.count("\n") == 1
+        # 2^(10^11) is never built: the value is refused by its size, and so
+        # are an exponent and invariants of 3^(10^8)
+        for argv, timeout in [
+                (["eval", "Z(2^1)^99999999999", "top"], 10),
+                (["--json", "eval", "Z(3^100000000)", "top"], 2),
+                (["--json", "eval", "Z(3^100000000)^w", "top"], 2),
+                (["invariants", "Z(3^1)^100000000"], 2),
+                (["invariants", "Z(3^inf)^100000000"], 2),
+                (["invariants", "tail(3,100000000)"], 2)]:
+            cold = run_szk(argv, timeout=timeout)
+            assert cold.code == 1 and cold.out == "", argv
+            assert cold.err.startswith("error: Exceeds the limit ("), argv
+            assert cold.err.count("\n") == 1, argv
+
+    def test_vc_argument_cap(self):
+        # the payload holds one value per m: 10^6 of them took 5.6 s
+        cold = run_szk(["--json", "vc", "Z_(2)^w", "--m", "100001"], timeout=2)
+        assert (cold.code, cold.out) == (1, "")
+        assert cold.err == "error: --m must be at most 100000\n"
 
     @pytest.mark.parametrize("argv,expected", [
         (["rank", "Z(2305843009213693951^1)"], "dp-rank: 0"),

@@ -202,6 +202,13 @@ MODES = {
 }
 
 
+def slot_bound(blocks):
+    """A family holds one slot per finite-multiplicity block, and one per
+    mode at an omega block."""
+    return sum(len(KINDS[kind].modes(mult)) if is_omega(mult) else 1
+               for kind, _data, mult in blocks)
+
+
 def reference_breadth_search(desc, B, maxK):
     """The search that projects every candidate onto the slot blocks on each
     solve call, filters the pool by one index computation per profile, and
@@ -213,7 +220,7 @@ def reference_breadth_search(desc, B, maxK):
              if _index(blocks, whole, key).is_infinite]
     # divisibility candidates are tried first
     cands.sort(key=lambda fk: not isinstance(fk[0].atoms[0], Div))
-    ub = min(oracle._slot_bound(blocks), len(cands))
+    ub = min(slot_bound(blocks), len(cands))
     target = min(maxK, ub)
     slots = [(bi, MODES[name]) for bi, (kind, _data, mult) in enumerate(blocks)
              for name in KINDS[kind].modes(mult)]
@@ -699,7 +706,7 @@ class TestSearchMatchesReference:
             B = min(normalize(desc).max_exponent() + 2, 4)
             primes, blocks = oracle._pool(normalize(desc), B)
             slotted = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
-            for maxK in (oracle._slot_bound(slotted) + 2, 6):
+            for maxK in (slot_bound(slotted) + 2, 6):
                 self.check(desc, B, maxK)
         for text, B, maxK, _depth in CAP_ABOVE_DEPTH:
             self.check(parse_group(text), B, maxK)
@@ -802,10 +809,13 @@ class TestRankTables:
     def check(self, block, vals):
         kind, data, mult = block
         entry = KINDS[kind]
-        infinite, tables = oracle._block_table(block, frozenset(vals))
-        assert set(infinite) == {
-            v for v in vals if v != entry.whole
-            and entry.index(data, mult, entry.whole, v) is None}
+        tables = oracle._block_table(block, frozenset(vals))
+        # the locals that outrank the whole at some mode are exactly those
+        # of infinite index, so the slots' occupants are the members
+        outrank = {v for groups, floor in tables for vs in groups[floor:]
+                   for v in vs}
+        assert outrank == {v for v in vals if v != entry.whole
+                           and entry.index(data, mult, entry.whole, v) is None}
         for name, (groups, floor) in zip(entry.modes(mult), tables):
             mode = MODES[name]
             rank = {v: g for g, vs in enumerate(groups) for v in vs}
@@ -843,13 +853,13 @@ class TestRankTables:
     def test_tail_ties(self):
         # tailb ties the offsets of one bound, taila the bounds of one offset
         block = ("tail", (2, 4), OMEGA)
-        _inf, ((bgroups, _bf), (agroups, _af)) = oracle._block_table(
+        (bgroups, _bf), (agroups, _af) = oracle._block_table(
             block, frozenset(every_local(block, 2)))
         assert [len(vs) for vs in bgroups] == [3, 3, 3, 3]
         assert [len(vs) for vs in agroups] == [4, 4, 4]
         # a finite-multiplicity tail's offset slot counts unbounded locals only
         block = ("tail", (2, 4), 2)
-        _inf, (_b, (agroups, floor)) = oracle._block_table(
+        _b, (agroups, floor) = oracle._block_table(
             block, frozenset(every_local(block, 2)))
         assert agroups == (((0, None),), ((1, None),), ((2, None),))
         assert floor == 1
