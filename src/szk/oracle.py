@@ -32,14 +32,21 @@ of which preserve exhaustiveness:
     one key, an omega block one per mode), which bounds the depth by the
     number of keys.
 
-The depth levels are scanned from the cap down, and the scan stops at the
+The search has three parts: _slots builds the slot tables from the
+holders, _deepest is the one slot search and runs over any list of slots,
+and breadth_search keeps the pool, its holders, the validity check and the
+result.  _deepest scans the depth levels from the cap down and stops at the
 first level that holds a family.  This is exact: validity is closed
 downward, so every level below the depth holds a family and none above it
 does, and each level is searched exhaustively, so a level that fails holds
 no family at all.  A level is one depth-first scan of its slot sets in
 combinations order: a set grows one slot at a time from its prefix's fixed
-point, which a slot only shrinks.  The family returned is the first of its
-level in slot-set order, the one an upward scan would end on.
+point, which a slot only shrinks.  The new slot's domain starts within the
+fence, the losers to the tops of the prefix's domains, and only a domain
+that shrinks prunes the others again.  The prefix's domains already prune
+one another, so this reaches the fixed point a pass over every domain
+would.  The family returned is the first of its level in slot-set order,
+the one an upward scan would end on.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ import math
 import os
 from array import array
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (Div, Index, PoolOverflowError, PPFormula, Record,
                    SzmielewDescription, Tor, is_omega, is_prime, tor)
@@ -386,11 +393,14 @@ class BreadthResult(Record):
 #
 # Each rank reads the local of one block only, so _block_table ranks a
 # block's distinct locals once, and breadth_search keeps, per block, the
-# bitmask of the candidates holding each local.  Per slot, prefix and
-# suffix ors of those masks over the ranks give the candidates a local
-# beats and those that beat it; scan and solve prune the slot domains by
-# and-ing such masks.  solve then splits the live mask on the masks of its
-# slot blocks and names each part by its lowest bit.
+# bitmask of the candidates holding each local.  Per slot, _slots builds
+# prefix and suffix ors of those masks over the ranks: the candidates a
+# local beats and those that beat it.  _deepest, the one slot search, prunes
+# the slot domains by and-ing such masks; its solve then splits the live
+# mask on the masks of its slot blocks and names each part by its lowest
+# bit.  It reads only a slot list, the holders and a validity check, so it
+# runs over any part of a group's slots, its member bound being the list's
+# distinct keys and the candidates that occupy one of its slots.
 
 _RANKS = {
     "max": lambda v: math.inf if v is None else v,   # None: the zero subgroup
@@ -424,28 +434,17 @@ def _block_table(block: Block, vals: frozenset):
     return tuple(tables)
 
 
-def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResult:
-    if B < 1 or maxK < 1:
-        raise ValueError("pool bound and depth cap must be >= 1")
-    primes, blocks = _pool(normalize(desc), B)
-    # a block without slots (a finite-multiplicity cyclic block) can never
-    # contribute an infinite index, so validity only depends on the locals
-    # of the other blocks
-    blocks = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
+def _slots(blocks: Tuple[Block, ...], holders: List[Dict[object, int]]
+           ) -> List[tuple]:
+    """The slot tables of the blocks, given per block the bitmask of the
+    candidates holding each local.
 
-    # the pool's profiles, divisibility candidates first as the search tries
-    # them, and per block the bitmask of the candidates holding each local
-    pool = _Pool(primes, B, blocks)
-    holders = pool.holders()
-
-    # a finite-index subgroup is never a member, and a local outranks the
-    # whole at some slot of its block exactly when its index in the whole
-    # block is infinite: the candidates that can be members are those that
-    # occupy some slot.  Per slot: its key; per tie group, the candidates
-    # holding it, those it beats, and those that hold the slot and beat it,
-    # then a 0 for the locals that count nowhere; and its occupants.  A
-    # family holds at most one slot per key, so the keys bound the depth
-    members = 0
+    Per slot: its key; per tie group, the candidates holding it, those it
+    beats, and those that hold the slot and beat it, then a 0 for the locals
+    that count nowhere; and its occupants.  A local outranks the whole at
+    some slot of its block exactly when its index in the whole block is
+    infinite, so the occupants are the candidates that can be members there.
+    """
     slots = []
     for bi, (block, held) in enumerate(zip(blocks, holders)):
         tables = _block_table(block, frozenset(held))
@@ -456,19 +455,28 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
             above = [*itertools.accumulate(reversed(masks), int.__or__,
                                            initial=0)][::-1]
             wins = [above[max(g, floor)] for g in range(1, len(above))]
-            members |= above[floor]
             slots.append((key, masks, below, wins + [0], above[floor]))
+    return slots
+
+
+def _deepest(slots: List[tuple], maxK: int, holders: List[Dict[object, int]],
+             valid: Callable[[List[int]], bool]) -> Tuple[List[int], bool]:
+    """The deepest family of at most maxK members on a list of slots.
+
+    Returns the candidate indices of the first family of the highest level
+    that holds one, and whether the search was exhausted: it is not when it
+    stopped at the cap below the member bound.  valid(idxs) checks a family.
+    A family holds at most one slot per key, and each member occupies some
+    slot, so the list's distinct keys and its occupants bound the depth.
+    """
+    members = 0
+    for slot in slots:
+        members |= slot[4]
     ub = min(len({slot[0] for slot in slots}), members.bit_count())
-    target = min(maxK, ub)
 
     def group(slot: tuple, bit: int) -> int:
         """The slot's tie group holding the candidate with this bit, or -1."""
         return next((g for g, m in enumerate(slot[1]) if m & bit), -1)
-
-    def family_valid(idxs: List[int]) -> bool:
-        locs = [pool.key(pool.cand(i)) for i in idxs]
-        return all(_index(blocks, rest, full).is_infinite
-                   for rest, full in _leave_one_out(blocks, locs))
 
     def solve(S: List[tuple], doms: List[int]) -> Optional[List[int]]:
         """Find a family occupying exactly the slots S, from their domains
@@ -503,7 +511,7 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
             nonlocal failed
             if step == t or failed and step >= 2:
                 idxs = sorted(bit.bit_length() - 1 for bit in picked)
-                if not family_valid(idxs):
+                if not valid(idxs):
                     failed = True
                     return None
                 if step == t:
@@ -527,38 +535,43 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
 
         return assign(0, doms, [])
 
-    def scan(t: int, S: List[tuple], doms: List[int], start: int
+    def scan(t: int, S: List[tuple], doms: List[int], fence: int, start: int
              ) -> Optional[List[int]]:
         """The first family on t slots that extend S, in combinations order,
         on slots of distinct keys.
 
-        Each domain, a bitmask over the candidates, starts as those that can
-        occupy its slot and is pruned to a fixed point: only the losers to
-        the top local a domain still holds survive in the others.  The
-        pruning is monotone and only shrinks domains, so the fixed point
-        reached from the prefix's is the one reached from scratch.
+        Each domain, a bitmask over the candidates, starts as the slot's
+        occupants and is pruned to a fixed point: only the losers to the top
+        local a domain still holds survive in the others.  S's last domain
+        is new, and the others are at the prefix's fixed point, with fence
+        the and of the losers to their tops.  So the new domain starts
+        within fence and prunes the others, and a domain that shrinks goes
+        back on the stack, since its top may have fallen.  The pruning is
+        monotone and only shrinks domains, so this reaches the fixed point
+        of S from scratch.
         """
-        changed = True
-        while changed:
-            changed = False
-            for k, (_key, masks, below, _wins, _occ) in enumerate(S):
-                if not doms[k]:
-                    return None
-                g = len(masks) - 1
-                while not masks[g] & doms[k]:
-                    g -= 1
-                keep = below[g]
-                for j in range(len(S)):
-                    if j != k and doms[j] & keep != doms[j]:
-                        doms[j] &= keep
-                        changed = True
+        todo = [len(S) - 1] if S else []
+        while todo:
+            k = todo.pop()
+            if not doms[k]:
+                return None
+            masks, below = S[k][1], S[k][2]
+            g = len(masks) - 1
+            while not masks[g] & doms[k]:
+                g -= 1
+            fence &= below[g]
+            for j in range(len(S)):
+                if j != k and doms[j] & below[g] != doms[j]:
+                    doms[j] &= below[g]
+                    todo.append(j)
         if len(S) == t:
             return solve(S, doms)
         keys = {slot[0] for slot in S}
         for si in range(start, len(slots) - t + len(S) + 1):
             if slots[si][0] in keys:
                 continue
-            found = scan(t, S + [slots[si]], doms + [slots[si][4]], si + 1)
+            found = scan(t, S + [slots[si]], doms + [slots[si][4] & fence],
+                         fence, si + 1)
             if found is not None:
                 return found
         return None
@@ -566,13 +579,36 @@ def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResul
     # validity is closed downward, so the depth is the highest level that
     # holds a family: scan from the cap down and stop at the first
     best: List[int] = []
-    for t in range(target, 0, -1):
-        best = scan(t, [], [], 0) or []
+    for t in range(min(maxK, ub), 0, -1):
+        best = scan(t, [], [], -1, 0) or []
         if best:
             break
-    capped = len(best) >= maxK and maxK < ub
+    return best, not (len(best) >= maxK and maxK < ub)
+
+
+def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResult:
+    if B < 1 or maxK < 1:
+        raise ValueError("pool bound and depth cap must be >= 1")
+    primes, blocks = _pool(normalize(desc), B)
+    # a block without slots (a finite-multiplicity cyclic block) can never
+    # contribute an infinite index, so validity only depends on the locals
+    # of the other blocks
+    blocks = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
+
+    # the pool's profiles, divisibility candidates first as the search tries
+    # them, and per block the bitmask of the candidates holding each local
+    pool = _Pool(primes, B, blocks)
+    holders = pool.holders()
+
+    def family_valid(idxs: List[int]) -> bool:
+        locs = [pool.key(pool.cand(i)) for i in idxs]
+        return all(_index(blocks, rest, full).is_infinite
+                   for rest, full in _leave_one_out(blocks, locs))
+
+    best, exhausted = _deepest(_slots(blocks, holders), maxK, holders,
+                               family_valid)
     witness = tuple(pool.formula(i) for i in best)
-    return BreadthResult(len(best), witness, B, exhausted=not capped)
+    return BreadthResult(len(best), witness, B, exhausted)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Golden transcripts: CLI output with and without `--json`, and candidate
-pools, byte for byte.
+"""Golden transcripts: CLI output with and without `--json`, candidate pools
+and a corpus of breadth searches, byte for byte.
 
 The inputs cover every materialized block kind (cyc, tf, div, q, tail,
 ptail) with finite and omega multiplicities, finite and omega tails, and a
 pool-cap overflow; the text transcript adds every other subcommand and the
-input errors.  A refactor of the evaluator, the oracle or the CLI must
-leave all three transcripts unchanged.  After an intended change of output,
+input errors.  The breadth corpus runs the oracle on seeded mixed-corpus
+groups.  A refactor of the evaluator, the oracle or the CLI must leave all
+four transcripts unchanged.  After an intended change of output,
 rewrite the files with
 
     PYTHONPATH=src python -c "import tests.test_golden as g; g.write_golden()"
@@ -13,12 +14,14 @@ rewrite the files with
 
 import contextlib
 import io
+import random
 import shlex
 from pathlib import Path
 
+from szk import corpus
 from szk.cli import main
-from szk.dsl import parse_group, render_formula
-from szk.oracle import candidate_pool
+from szk.dsl import parse_group, render_formula, render_group
+from szk.oracle import breadth_search, candidate_pool
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -63,6 +66,12 @@ BREADTH = [
     ("forall_p{Z(P^1)^w} + Z(3^2)^w", 2, 4),
     ("Z(2^1)^w + Z(3^1)^w + Z(5^1)^w", 36, 4),   # pool over the cap
 ]
+
+# the breadth corpus: groups per seed, pool bounds and depth cap
+CORPUS_SEEDS = (2601, 2602)
+CORPUS_GROUPS = 100
+CORPUS_BOUNDS = (2, 3, 4)
+CORPUS_CAP = 5
 
 POOLS = [
     ("Z(2^1)^w + Z(8)^w", 4),
@@ -131,12 +140,29 @@ def pool_transcript() -> str:
     return "".join(parts)
 
 
+def breadth_corpus() -> str:
+    """One line per search: group, pool bound, cap, depth, exhausted and
+    witness."""
+    lines = []
+    for seed in CORPUS_SEEDS:
+        rng = random.Random(seed)
+        for _ in range(CORPUS_GROUPS):
+            desc = corpus.random_description(rng, finite_dp_only=False)
+            for B in CORPUS_BOUNDS:
+                r = breadth_search(desc, B, CORPUS_CAP)
+                lines.append("%s | %d %d | %d %s | %s\n" % (
+                    render_group(desc), B, CORPUS_CAP, r.depth, r.exhausted,
+                    ", ".join(map(render_formula, r.witness))))
+    return "".join(lines)
+
+
 def write_golden() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     (GOLDEN_DIR / "cli_json.txt").write_text(cli_transcript())
     # bytes, so that the CSV's \r\n line ends are kept as they are
     (GOLDEN_DIR / "cli_text.txt").write_bytes(text_transcript().encode())
     (GOLDEN_DIR / "candidate_pool.txt").write_text(pool_transcript())
+    (GOLDEN_DIR / "breadth_corpus.txt").write_text(breadth_corpus())
 
 
 def test_cli_json_transcript():
@@ -149,3 +175,7 @@ def test_cli_text_transcript():
 
 def test_candidate_pool_transcript():
     assert pool_transcript() == (GOLDEN_DIR / "candidate_pool.txt").read_text()
+
+
+def test_breadth_corpus():
+    assert breadth_corpus() == (GOLDEN_DIR / "breadth_corpus.txt").read_text()

@@ -11,7 +11,7 @@ from szk import corpus, oracle
 from szk.core import (OMEGA, SPLIT_CAP, Div, PPFormula, div, is_omega,
                       make_prime_tail, tor)
 from szk.dsl import parse_formula, parse_group, render_formula
-from szk.normalize import normalize
+from szk.normalize import derived_sets, normalize
 from szk.oracle import (PoolOverflowError, breadth_search, candidate_pool,
                         verify_inp)
 from szk.ppeval import KINDS, _index, _locals
@@ -863,6 +863,79 @@ class TestRankTables:
             block, frozenset(every_local(block, 2)))
         assert agroups == (((0, None),), ((1, None),), ((2, None),))
         assert floor == 1
+
+
+# per group: L_p at B0 and at 2 B0, by prime, and the dp-rank when finite
+PER_PRIME = [
+    ("tail(2,w) + Z(3^inf)^w + Z(5^1)^w",
+     {2: (3, 4), 3: (1, 1), 5: (1, 1)}, None),
+    ("tail(2,w,cutoff=3) + tail(3,w) + Z_(5)^w + Z(7^inf)^w",
+     {2: (2, 5), 3: (4, 6), 5: (1, 1), 7: (1, 1)}, None),
+    ("Z(2^inf)^w + Z(3^inf)^w + Z(5^inf)^w + Q",
+     {2: (1, 1), 3: (1, 1), 5: (1, 1)}, 3),
+    ("Z(2^1)^w + Z(2^3)^w + Z(3^2)^w + Z_(5)^w",
+     {2: (2, 2), 3: (1, 1), 5: (1, 1)}, 4),
+]
+
+
+class TestPerPrimeLevels:
+    """L_p, the depth of the slot search over the slots of prime p's blocks
+    alone, at cap 8.
+
+    The paper calls A strong exactly when only finitely many primes have
+    A/pA infinite and, per prime p, only finitely many n have
+    (p^n A)[p]/(p^(n+1) A)[p] infinite; the primes of U_inf_at_infinite break
+    the second clause.  L_p grows from B0 to 2 B0 exactly at those primes,
+    and on a strong group the levels add up to the dp-rank.  This is
+    evidence at a finite pool bound, not a proof."""
+
+    def levels(self, monkeypatch, desc, B):
+        # the blocks, slot tables, holders and validity check of a real
+        # search, read off the calls breadth_search makes
+        seen = {}
+        slots_of, deepest = oracle._slots, oracle._deepest
+
+        def spy_slots(blocks, holders):
+            seen["blocks"] = blocks
+            return slots_of(blocks, holders)
+
+        def spy_deepest(slots, maxK, holders, valid):
+            seen["search"] = slots, holders, valid
+            return deepest(slots, maxK, holders, valid)
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_slots", spy_slots)
+            m.setattr(oracle, "_deepest", spy_deepest)
+            breadth_search(desc, B, 1)
+        blocks = seen["blocks"]
+        slots, holders, valid = seen["search"]
+        at = {}
+        for slot in slots:
+            kind, data, _mult = blocks[slot[0][0]]
+            at.setdefault(data[0] if KINDS[kind].has_prime else None,
+                          []).append(slot)
+        levels = {}
+        for p, sub in at.items():
+            best, exhausted = deepest(sub, 8, holders, valid)
+            assert exhausted
+            levels[p] = len(best)
+        return levels
+
+    @pytest.mark.parametrize("text,expected,dp", PER_PRIME,
+                             ids=["tail2", "tail2-tail3", "strong-3",
+                                  "strong-4"])
+    def test_levels_grow_at_the_omega_tails(self, monkeypatch, text,
+                                            expected, dp):
+        g = parse_group(text)
+        B0 = normalize(g).max_exponent() + 2
+        low, high = (self.levels(monkeypatch, g, B) for B in (B0, 2 * B0))
+        assert {p: (low[p], high[p]) for p in low} == expected
+        assert high.keys() == low.keys()
+        assert ({p for p in low if high[p] > low[p]}
+                == derived_sets(g).u_inf_at_infinite)
+        assert dp_rank(g).dp == dp
+        if dp is not None:
+            assert sum(low.values()) == sum(high.values()) == dp
 
 
 class TestInfiniteRankSide:
