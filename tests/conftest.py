@@ -1,10 +1,12 @@
 """Shared fixtures: seeded corpora, JSON schema validation, cold CLI runs,
-and description memos emptied before each test."""
+emptied description memos, and time budgets enforced as the code runs."""
 
+import contextlib
 import importlib
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -22,6 +24,9 @@ SCHEMA_DIR = ROOT / "src" / "szk" / "schemas"
 
 CORPUS_SEED = 12345
 CORPUS_SIZE = 200
+
+# every test's budget; the slowest takes about 3 s on a 2-vCPU host
+CEILING_S = 30
 
 # a mixed-corpus group whose member search at B = 3, cap 5 fails leaf after
 # leaf: checking only complete families, it took minutes there
@@ -65,6 +70,29 @@ def empty_description_memos():
     """No test reads a record that an earlier test, perhaps with a layer
     patched, left in a description memo."""
     clear_description_memos()
+
+
+@contextlib.contextmanager
+def within(seconds: float):
+    """Fail the test once the block has run for `seconds`; an outer budget
+    is paused for the block and resumes with the time it had left."""
+    def overrun(_signum, _frame):
+        pytest.fail("ran past its %s s budget" % seconds)
+    handler = signal.signal(signal.SIGALRM, overrun)
+    left, _interval = signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+        signal.setitimer(signal.ITIMER_REAL, left)
+
+
+@pytest.fixture(autouse=True)
+def ceiling():
+    """A test that stalls fails at the ceiling instead of holding up Tier-1."""
+    with within(CEILING_S):
+        yield
 
 
 @pytest.fixture(scope="session")

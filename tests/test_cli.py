@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -18,7 +17,7 @@ from szk.core import is_prime
 from szk.dsl import parse_formula, parse_group, render_group
 from szk.normalize import derived_sets, invariants, normalize
 from tests.conftest import (MANY_FAILING_LEAVES, ROOT, run_szk,
-                            validate_payload)
+                            validate_payload, within)
 
 
 def run(capsys, *argv):
@@ -521,9 +520,7 @@ class TestBoundedTime:
         (["eval", "Z(2^3)", "tor(2305843009213693951)"], "cardinality: 1"),
     ], ids=["rank", "eval"])
     def test_large_prime(self, argv, expected):
-        t0 = time.perf_counter()
-        cold = run_szk(argv, timeout=10)
-        assert time.perf_counter() - t0 < 2
+        cold = run_szk(argv, timeout=2)
         assert cold.code == 0, cold.err
         assert cold.out.splitlines()[0] == expected
 
@@ -589,9 +586,8 @@ class TestBoundedTime:
     def test_long_group(self):
         # the terms are summed once: a pairwise fold over them is quadratic
         text = self.long_group(4000)
-        t0 = time.perf_counter()
-        desc = parse_group(text)
-        assert time.perf_counter() - t0 < 0.5
+        with within(0.5):
+            desc = parse_group(text)
         assert (len(desc.cyclic), len(desc.tf), len(desc.div),
                 len(desc.cyclic_tail)) == (1000, 1000, 1000, 1000)
 
@@ -608,17 +604,15 @@ class TestBoundedTime:
         for name in ("szk.core", "szk.dsl"):
             monkeypatch.setattr(importlib.import_module(name), "is_prime",
                                 counting)
-        t0 = time.perf_counter()
-        desc = parse_group(text)
-        assert time.perf_counter() - t0 < 0.5
+        with within(0.5):
+            desc = parse_group(text)
         assert len(desc.cyclic) == 8000 and len(calls) == 8000
 
     def test_long_formula(self):
         text = " & ".join("tor(%d)" % n if n % 2 else "div(%d,%d,0)" % (p, n)
                           for p in (2, 3, 5, 7) for n in range(1, 5001))
-        t0 = time.perf_counter()
-        formula = parse_formula(text)
-        assert time.perf_counter() - t0 < 0.5
+        with within(0.5):
+            formula = parse_formula(text)
         assert len(formula.atoms) == 20000
 
     def test_long_group_cold(self):
@@ -641,11 +635,10 @@ class TestBoundedTime:
         primes = [p for p in range(2, 90000) if sieve[p]][:8000]
         text = " + ".join(terms[i % len(terms)] % p
                           for i, p in enumerate(primes))
-        t0 = time.perf_counter()
-        strict = normalize(parse_group(text))
-        report = invariants(strict)
-        partition = rank._partition(strict, derived_sets(strict))
-        assert time.perf_counter() - t0 < 1.0
+        with within(1.0):
+            strict = normalize(parse_group(text))
+            report = invariants(strict)
+            partition = rank._partition(strict, derived_sets(strict))
         assert len(report.U) + len(report.U_tail) == 8000
         assert sum(map(len, partition.values())) == 8000
 
@@ -654,11 +647,10 @@ class TestBoundedTime:
         # 8,000 moduli of 7,999 primes each
         primes = [p for p in range(2, 90000) if is_prime(p)][:8000]
         desc = parse_group(" + ".join("Z(%d^inf)^w" % p for p in primes))
-        t0 = time.perf_counter()
-        report = rank.dp_rank(desc)
-        classification = rank.classify(desc)
-        vc = rank.vc_density(desc, [1, 2])
-        assert time.perf_counter() - t0 < 0.5
+        with within(0.5):
+            report = rank.dp_rank(desc)
+            classification = rank.classify(desc)
+            vc = rank.vc_density(desc, [1, 2])
         assert report.dp == 8000
         assert classification == rank.Classification(True, True, False)
         assert vc.values == {1: 8000, 2: 16000}
