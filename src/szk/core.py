@@ -35,21 +35,12 @@ def __hash__(self):
     return hash(({own},))
 """
 
-_ORDER = """\
-def {name}(self, other):
-    if other.__class__ is self.__class__:
-        return ({own},) {op} ({other},)
-    return NotImplemented
-"""
-
-
 class _RecordType(type):
     """Makes the annotated names of a Record subclass its ``__slots__``, and
-    writes its ``__init__``, ``__eq__``, ``__hash__`` and, given
-    ``order=True``, its ``<``, ``<=``, ``>`` and ``>=``.  A method that the
+    writes its ``__init__``, ``__eq__`` and ``__hash__``.  A method that the
     class body defines is kept."""
 
-    def __new__(mcls, name, bases, ns, order=False):
+    def __new__(mcls, name, bases, ns):
         fields = tuple(ns.get("__annotations__", ()))
         has_default = [f in ns for f in fields]
         if has_default != sorted(has_default):
@@ -59,7 +50,6 @@ class _RecordType(type):
         ns["__slots__"] = fields
         if fields:
             own = ", ".join("self." + f for f in fields)
-            other = ", ".join("other." + f for f in fields)
             sets = ["    _set(self, %r, %s)" % (f, f) for f in fields]
             if "__post_init__" in ns:
                 sets.append("    self.__post_init__()")
@@ -67,11 +57,6 @@ class _RecordType(type):
                                 % (f, f, f, f) for f in fields)
             source = _METHODS.format(args=", ".join(fields), sets="\n".join(sets),
                                      same=same, own=own)
-            if order:
-                source += "".join(
-                    _ORDER.format(name=n, op=op, own=own, other=other)
-                    for n, op in (("__lt__", "<"), ("__le__", "<="),
-                                  ("__gt__", ">"), ("__ge__", ">=")))
             methods: dict = {}
             exec(source, {"_set": _set}, methods)
             methods["__init__"].__defaults__ = defaults or None
@@ -594,13 +579,13 @@ def direct_sum(*descs: SzmielewDescription) -> SzmielewDescription:
 # Positive-primitive formulas
 
 
-class Tor(Record, order=True):
+class Tor(Record):
     """The atom ``m x = 0``."""
 
     m: int
 
 
-class Div(Record, order=True):
+class Div(Record):
     """The atom ``p^r | p^s x`` with 0 <= s < r."""
 
     p: int

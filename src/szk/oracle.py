@@ -32,10 +32,10 @@ of which preserve exhaustiveness:
     one key, an omega block one per mode), which bounds the depth by the
     number of keys.
 
-The search has three parts: _slots builds the slot tables from the
-holders, _deepest is the one slot search and runs over any list of slots,
-and breadth_search keeps the pool, its holders, the validity check and the
-result.  _deepest scans the depth levels from the cap down and stops at the
+The search has three parts: _setup builds the pool, its blocks with slots,
+their holders and the validity check, _slots builds the slot tables from
+the holders, and _deepest is the one slot search and runs over any list of
+slots.  _deepest scans the depth levels from the cap down and stops at the
 first level that holds a family.  This is exact: validity is closed
 downward, so every level below the depth holds a family and none above it
 does, and each level is searched exhaustively, so a level that fails holds
@@ -62,8 +62,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from .core import (Div, Index, PoolOverflowError, PPFormula, Record,
                    SzmielewDescription, Tor, is_omega, is_prime, tor)
 from .normalize import normalize
-from .ppeval import (KINDS, Block, _blocks_for, _index, _locals, _meet_locals,
-                     index_json, materialize)
+from .ppeval import (KINDS, Block, _blocks_at, _blocks_for, _index, _locals,
+                     _meet_locals, index_json)
 
 DEFAULT_MAX_POOL = 50000
 
@@ -104,9 +104,7 @@ def _pool(strict: SzmielewDescription, B: int
         raise PoolOverflowError(
             "candidate pool has %d formulas, cap is %d (set SZK_MAX_POOL)"
             % (size, _max_pool()))
-    bounds = {p: B for p in primes}
-    extra = tuple(sorted(set(primes) - set(strict.primes())))
-    return primes, materialize(strict, bounds, extra)
+    return primes, _blocks_at(strict, dict.fromkeys(primes, B))
 
 
 PRIME_MEMO = 1024     # the per-prime column sets that _prime_columns keeps
@@ -392,7 +390,7 @@ class BreadthResult(Record):
 # holds each key once, and the number of keys bounds the depth.
 #
 # Each rank reads the local of one block only, so _block_table ranks a
-# block's distinct locals once, and breadth_search keeps, per block, the
+# block's distinct locals once, and _setup keeps, per block, the
 # bitmask of the candidates holding each local.  Per slot, _slots builds
 # prefix and suffix ors of those masks over the ranks: the candidates a
 # local beats and those that beat it.  _deepest, the one slot search, prunes
@@ -586,29 +584,33 @@ def _deepest(slots: List[tuple], maxK: int, holders: List[Dict[object, int]],
     return best, not (len(best) >= maxK and maxK < ub)
 
 
-def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResult:
-    if B < 1 or maxK < 1:
-        raise ValueError("pool bound and depth cap must be >= 1")
+def _setup(desc: SzmielewDescription, B: int) -> tuple:
+    """The pool of a search at bound B, its blocks with slots, per block the
+    bitmask of the candidates holding each local, and the validity check of
+    a family of candidate indices."""
     primes, blocks = _pool(normalize(desc), B)
     # a block without slots (a finite-multiplicity cyclic block) can never
     # contribute an infinite index, so validity only depends on the locals
     # of the other blocks
     blocks = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
-
-    # the pool's profiles, divisibility candidates first as the search tries
-    # them, and per block the bitmask of the candidates holding each local
+    # divisibility candidates come first, as the search tries them
     pool = _Pool(primes, B, blocks)
-    holders = pool.holders()
 
     def family_valid(idxs: List[int]) -> bool:
         locs = [pool.key(pool.cand(i)) for i in idxs]
         return all(_index(blocks, rest, full).is_infinite
                    for rest, full in _leave_one_out(blocks, locs))
 
-    best, exhausted = _deepest(_slots(blocks, holders), maxK, holders,
-                               family_valid)
-    witness = tuple(pool.formula(i) for i in best)
-    return BreadthResult(len(best), witness, B, exhausted)
+    return pool, blocks, pool.holders(), family_valid
+
+
+def breadth_search(desc: SzmielewDescription, B: int, maxK: int) -> BreadthResult:
+    if B < 1 or maxK < 1:
+        raise ValueError("pool bound and depth cap must be >= 1")
+    pool, blocks, holders, valid = _setup(desc, B)
+    best, exhausted = _deepest(_slots(blocks, holders), maxK, holders, valid)
+    return BreadthResult(len(best), tuple(map(pool.formula, best)), B,
+                         exhausted)
 
 
 # ---------------------------------------------------------------------------

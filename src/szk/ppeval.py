@@ -7,8 +7,8 @@ Tails are split far enough that every formula atom acts uniformly on the
 residual, which makes the (a, b) pair coordinates exact.
 
 The blocks of the last core.DESCRIPTION_MEMO (description, splits) pairs
-are kept, so profiles over one description share their block tuples; every
-returned record is read-only.
+are kept, so profiles over one description, and an oracle pool over it,
+share their block tuples; every returned record is read-only.
 
 Each block kind has one entry in KINDS, which says what its local subgroup
 coordinates are and holds every rule that depends on the kind.  None
@@ -29,19 +29,25 @@ Block = Tuple[str, tuple, Mult]
 
 def _blocks_for(desc: SzmielewDescription, formulas: Iterable[PPFormula]
                 ) -> Tuple[Block, ...]:
-    """The blocks that evaluate every formula in formulas exactly: each tail
-    split at the largest exponent of its prime in an atom, and under a prime
-    tail each such unlisted prime instantiated."""
+    """The blocks that evaluate every formula in formulas exactly: bounded
+    per prime by the largest exponent of that prime in an atom."""
     bounds: Dict[int, int] = {}
     for f in formulas:
         for a in f.atoms:
             exps = {a.p: a.r} if isinstance(a, Div) else prime_factors(a.m)
             for p, e in exps.items():
                 bounds[p] = max(bounds.get(p, 0), e)
+    return _blocks_at(desc, bounds)
+
+
+def _blocks_at(desc: SzmielewDescription, bounds: Dict[int, int]
+               ) -> Tuple[Block, ...]:
+    """The blocks with each tail split at its prime's bound, and under a
+    prime tail each unlisted prime of bounds instantiated."""
     extra: Tuple[int, ...] = ()
     if desc.prime_tail is not None:
         extra = tuple(sorted(set(bounds) - set(desc.primes())))
-    # materialize reads a bound only where it passes its tail's cutoff
+    # a bound splits its tail only where it passes the tail's cutoff
     splits = tuple((p, bounds[p]) for p, spec in desc.cyclic_tail
                    if bounds.get(p, 0) > spec.cutoff)
     return _materialized(desc, splits, extra)
@@ -50,18 +56,13 @@ def _blocks_for(desc: SzmielewDescription, formulas: Iterable[PPFormula]
 @functools.lru_cache(maxsize=DESCRIPTION_MEMO)
 def _materialized(desc: SzmielewDescription, splits: Tuple[Tuple[int, int], ...],
                   extra_primes: Tuple[int, ...]) -> Tuple[Block, ...]:
-    """materialize with the tails in splits split at their bounds: equal
-    arguments give equal blocks, so they share one tuple."""
-    return materialize(desc, dict(splits), extra_primes)
-
-
-def materialize(desc: SzmielewDescription, tail_bounds: Dict[int, int],
-                extra_primes: Tuple[int, ...]) -> Tuple[Block, ...]:
-    """Split tails at the given bounds and instantiate extra primes.
+    """The blocks with the tails in splits split at their bounds and the
+    extra primes instantiated: equal arguments share one tuple.
 
     A split adds one explicit cyclic block per exponent past the cutoff, so
     more than core.SPLIT_CAP of them in all is refused before any is built."""
-    tails = [(p, spec, max(spec.cutoff, tail_bounds.get(p, 0)))
+    split_at = dict(splits)
+    tails = [(p, spec, split_at.get(p, spec.cutoff))
              for p, spec in sorted(desc.tail_dict().items())]
     cyclic = desc.cyclic_dict()
     _raise_cutoffs(cyclic, tails)
@@ -70,7 +71,7 @@ def materialize(desc: SzmielewDescription, tail_bounds: Dict[int, int],
     dv = desc.div_dict()
     shape = desc.prime_tail
     if shape is not None:
-        for p in set(extra_primes) - listed:
+        for p in extra_primes:
             for n, m in shape.cyclic_pattern:
                 cyclic[(p, n)] = m
             if shape.tf_mult != 0:

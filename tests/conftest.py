@@ -45,6 +45,14 @@ def _registry() -> Registry:
 _REGISTRY = _registry()
 
 
+# the schema of each subcommand's --json payload
+SCHEMAS = {"normalize": "normal_form", "equiv": "equiv",
+           "invariants": "invariant_report", "rank": "rank_report",
+           "classify": "classify", "vc": "vc_report", "eval": "profile",
+           "index": "index", "witness": "witness", "breadth": "breadth_result",
+           "shatter": "shatter", "fuzz": "fuzz"}
+
+
 def validate_payload(schema_name: str, payload) -> None:
     if not schema_name.endswith(".json"):
         schema_name += ".json"

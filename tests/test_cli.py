@@ -1,6 +1,7 @@
-"""Command-line interface: outputs, exit codes, JSON payload schemas."""
+"""Command-line interface: exit codes, JSON payload schemas, cold calls and
+bounded time.  The golden transcripts in tests/golden pin each subcommand's
+output; the tests here check what no transcript shows."""
 
-import csv
 import importlib
 import io
 import json
@@ -16,7 +17,7 @@ from szk.cli import main
 from szk.core import is_prime
 from szk.dsl import parse_formula, parse_group, render_group
 from szk.normalize import derived_sets, invariants, normalize
-from tests.conftest import (MANY_FAILING_LEAVES, ROOT, run_szk,
+from tests.conftest import (MANY_FAILING_LEAVES, ROOT, SCHEMAS, run_szk,
                             validate_payload, within)
 
 
@@ -26,91 +27,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_json(capsys, schema, *argv):
-    code, out, err = run(capsys, "--json", *argv)
-    assert code == 0, err
-    payload = json.loads(out)
-    validate_payload(schema, payload)
-    return payload
-
-
 class TestHumanOutput:
-    def test_normalize(self, capsys):
-        code, out, _ = run(capsys, "normalize", "Q^3 + Z_(2)")
-        assert code == 0
-        assert out.strip() == "Z_(2)"
-
-    def test_equiv(self, capsys):
-        code, out, _ = run(capsys, "equiv", "Q", "Q^w")
-        assert code == 0 and out.strip() == "equivalent"
-        code, out, _ = run(capsys, "equiv", "Q", "Z_(2)")
-        assert code == 0 and out.strip() == "not equivalent"
-
-    def test_invariants(self, capsys):
-        code, out, _ = run(capsys, "invariants", "Z(2^3)^2")
-        assert code == 0
-        assert "U(2,2) = 4" in out
-        assert "bounded exponent: True" in out
-
-    def test_rank(self, capsys):
-        code, out, _ = run(capsys, "rank", "Z_(2)^w + Z_(3)^w")
-        assert code == 0
-        assert "dp-rank: 2" in out
-        assert "witness [tf-quotients]" in out
-
-    def test_rank_infinite(self, capsys):
-        code, out, _ = run(capsys, "rank", "tail(2,w)")
-        assert code == 0
-        assert "dp-rank: inf" in out
-        assert "strong: False" in out
-
-    def test_classify(self, capsys):
-        code, out, _ = run(capsys, "classify", "Q")
-        assert code == 0
-        assert "dp-minimal: True" in out
-
-    def test_vc(self, capsys):
-        code, out, _ = run(capsys, "vc", "Z_(2)^w + Z_(3)^w", "--m", "3")
-        assert code == 0
-        assert out.splitlines() == ["vc(1) = 2", "vc(2) = 4", "vc(3) = 6"]
-
-    def test_eval(self, capsys):
-        code, out, _ = run(capsys, "eval", "Z(2^3)^2", "tor(2)")
-        assert code == 0
-        assert "cardinality: 4" in out
-        assert "exponent: 2" in out
-
-    def test_index(self, capsys):
-        code, out, _ = run(capsys, "index", "Z(2^3)^2", "tor(4)", "tor(2)")
-        assert code == 0 and out.strip() == "4"
-        code, out, _ = run(capsys, "index", "Z(2^3)^w", "top", "tor(2)")
-        assert code == 0 and out.strip() == "inf"
-
-    def test_witness(self, capsys):
-        code, out, _ = run(capsys, "witness", "Z_(2)^w")
-        assert code == 0
-        assert "[tf-quotients] div(2,1,0)" in out
-
-    def test_breadth(self, capsys):
-        code, out, _ = run(capsys, "breadth", "Z_(2)^w + Z_(3)^w",
-                           "--pool-bound", "2", "--max-depth", "4")
-        assert code == 0
-        assert "depth: 2" in out
-        assert "exhausted: True" in out
-
-    def test_shatter_csv(self, capsys):
-        code, out, _ = run(capsys, "shatter", "--orders", "4",
-                           "--formulas", "tor(2)", "--n", "2")
-        assert code == 0
-        rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["n", "pi", "pow2"]
-        assert rows[1:] == [["0", "1", "1"], ["1", "2", "2"], ["2", "2", "4"]]
-
-    def test_fuzz(self, capsys):
-        code, out, _ = run(capsys, "fuzz", "--count", "5", "--seed", "3")
-        assert code == 0
-        assert "5 descriptions checked, zero disagreements" in out
-
     def test_fuzz_builds_no_witnesses(self, capsys, monkeypatch):
         def refuse(_ds):
             raise AssertionError("fuzz built witness families")
@@ -131,21 +48,6 @@ class TestHumanOutput:
 
 
 class TestExitCodes:
-    def test_parse_error(self, capsys):
-        code, _, err = run(capsys, "rank", "Z(6)")
-        assert code == 1
-        assert "error:" in err
-
-    def test_bad_flag_value(self, capsys):
-        code, _, err = run(capsys, "vc", "Q", "--m", "0")
-        assert code == 1
-
-    def test_negative_sample_size(self, capsys):
-        code, out, err = run(capsys, "shatter", "--orders", "4",
-                             "--formulas", "tor(2)", "--n", "-1")
-        assert code == 1 and out == ""
-        assert err == "error: --n must be at least 0\n"
-
     @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
     def test_fuzz_disagreement(self, capsys, monkeypatch, flags):
         monkeypatch.setattr(cli, "_fuzz_one", lambda desc: "disagreement")
@@ -155,15 +57,6 @@ class TestExitCodes:
             assert json.loads(out)["disagreements"] == ["disagreement"] * 2
         else:
             assert out == "disagreement\ndisagreement\n"
-
-    @pytest.mark.parametrize("argv,err", [
-        (["--count", "-3"], "error: --count must be at least 0\n"),
-        (["--jobs", "0"], "error: --jobs must be at least 1\n"),
-        (["--jobs", "-2"], "error: --jobs must be at least 1\n"),
-    ], ids=["count", "jobs-zero", "jobs-negative"])
-    def test_fuzz_bad_arguments(self, argv, err):
-        cold = run_szk(["--json", "fuzz"] + argv, timeout=10)
-        assert (cold.code, cold.out, cold.err) == (1, "", err)
 
     @pytest.mark.parametrize("count,jobs,workers", [(2, 2, 2), (2, 64, 2),
                                                     (1, 64, None)])
@@ -201,14 +94,6 @@ class TestExitCodes:
         code, out, _ = run(capsys, "fuzz", "--count", "4", "--jobs", "5000")
         assert (code, out) == (0, "4 descriptions checked, zero disagreements\n")
         assert started == ([] if workers is None else [workers])
-
-    @pytest.mark.parametrize("count,jobs", [(2, 2), (1, 8)])
-    def test_fuzz_jobs_cold(self, count, jobs):
-        # two worker processes at most: --jobs beyond --count is cut to it
-        cold = run_szk(["fuzz", "--count", str(count), "--seed", "5",
-                        "--jobs", str(jobs)], timeout=60)
-        assert cold.code == 0, cold.err
-        assert cold.out == "%d descriptions checked, zero disagreements\n" % count
 
     def test_fuzz_jobs_match_serial(self):
         # more than two windows, each sent to the workers in chunks
@@ -294,10 +179,6 @@ class TestExitCodes:
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
 
-    def test_oracle_bound_error(self, capsys):
-        code, _, err = run(capsys, "breadth", "Q", "--pool-bound", "0")
-        assert code == 1
-
     def test_closed_stdout(self, monkeypatch):
         class ClosedPipe(io.StringIO):
             def write(self, text):
@@ -320,88 +201,29 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
-class TestJsonPayloads:
-    def test_normalize(self, capsys):
-        payload = run_json(capsys, "normal_form", "normalize", "Q^3")
-        assert payload["normal_form"] == "Q^w"
-
-    def test_equiv(self, capsys):
-        payload = run_json(capsys, "equiv", "equiv", "Q", "Q^w")
-        assert payload["equivalent"] is True
-
-    def test_invariants(self, capsys):
-        payload = run_json(capsys, "invariant_report", "invariants",
-                           "Z(2^3)^2 + tail(3)")
-        assert {"p": 2, "n": 2, "value": 4} in payload["U"]
-        assert payload["U_tail"] == [{"p": 3, "cutoff": 0, "value": 3}]
-
-    def test_rank(self, capsys):
-        payload = run_json(capsys, "rank_report", "rank", "Z(2^1)^w + Z(8)^w")
-        assert payload["dp"] == 2
-        assert payload["case"] == 2
-
-    def test_classify(self, capsys):
-        payload = run_json(capsys, "classify", "classify", "tail(2,w)")
-        assert payload["finite_dp"] is False
-
-    def test_vc(self, capsys):
-        payload = run_json(capsys, "vc_report", "vc", "Q", "--m", "2")
-        assert payload["values"] == [{"m": 1, "vc": 1}, {"m": 2, "vc": 2}]
-
-    def test_eval(self, capsys):
-        payload = run_json(capsys, "profile", "eval", "Z(2^3)", "tor(2)")
-        assert payload["blocks"][0]["local"] == {"depth": 2}
-
-    def test_index(self, capsys):
-        payload = run_json(capsys, "index", "index", "Z(2^3)^2",
-                           "tor(4)", "tor(2)")
-        assert payload["index"] == {"value": 4, "factors": [{"p": 2, "e": 2}]}
-
-    def test_witness(self, capsys):
-        payload = run_json(capsys, "witness", "witness", "Z_(2)^w")
-        assert payload["families"][0]["formulas"] == ["div(2,1,0)"]
-
-    def test_breadth(self, capsys):
-        payload = run_json(capsys, "breadth_result", "breadth",
-                           "Z(2^inf)^w + Z(3^inf)^w",
-                           "--pool-bound", "1", "--max-depth", "4")
-        assert payload["depth"] == 2
-        assert sorted(payload["witness"]) == ["tor(2)", "tor(3)"]
-
-    def test_fuzz(self, capsys):
-        payload = run_json(capsys, "fuzz", "fuzz", "--count", "3",
-                           "--seed", "9")
-        assert payload["disagreements"] == []
-
-    def test_shatter(self, capsys):
-        payload = run_json(capsys, "shatter", "shatter", "--orders", "4",
-                           "--formulas", "tor(2)", "--n", "2")
-        assert payload["rows"] == [{"n": 0, "pi": 1, "pow2": 1},
-                                   {"n": 1, "pi": 2, "pow2": 2},
-                                   {"n": 2, "pi": 2, "pow2": 4}]
-
-
-# one argument list per subcommand, and the schema of its --json payload
+# one argument list per subcommand; its --json payload is checked against
+# the subcommand's schema
 JSON_CALLS = {
-    "normalize": ("normal_form", ["Q^3"]),
-    "equiv": ("equiv", ["Q", "Z_(2)"]),
-    "invariants": ("invariant_report", ["forall_p{Z(P^1)^w} + Z(2^2)"]),
-    "rank": ("rank_report", ["tail(2,w)"]),
-    "classify": ("classify", ["Z(2^1)^w"]),
-    "vc": ("vc_report", ["tail(2,w)", "--m", "2"]),
-    "eval": ("profile", ["Q^w", "div(2,1,0)"]),
-    "index": ("index", ["Z_(2)", "top", "div(2,1,0)"]),
-    "witness": ("witness", ["Q"]),
-    "breadth": ("breadth_result", ["Z_(2)", "--pool-bound", "1"]),
-    "shatter": ("shatter", ["--orders", "6", "--formulas", "top", "--n", "0"]),
-    "fuzz": ("fuzz", ["--count", "1"]),
+    "normalize": ["Q^3"],
+    "equiv": ["Q", "Z_(2)"],
+    "invariants": ["forall_p{Z(P^1)^w} + Z(2^2)"],
+    "rank": ["tail(2,w)"],
+    "classify": ["Z(2^1)^w"],
+    "vc": ["tail(2,w)", "--m", "2"],
+    "eval": ["Q^w", "div(2,1,0)"],
+    "index": ["Z_(2)", "top", "div(2,1,0)"],
+    "witness": ["Q"],
+    "breadth": ["Z_(2)", "--pool-bound", "1"],
+    "shatter": ["--orders", "6", "--formulas", "top", "--n", "0"],
+    "fuzz": ["--count", "1"],
 }
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_every_subcommand_takes_json(capsys, command):
-    schema, argv = JSON_CALLS[command]
-    run_json(capsys, schema, command, *argv)
+    code, out, err = run(capsys, "--json", command, *JSON_CALLS[command])
+    assert code == 0, err
+    validate_payload(SCHEMAS[command], json.loads(out))
 
 
 # the names `szk` exported before its submodules loaded lazily, by home module
@@ -493,88 +315,143 @@ class TestColdPath:
         assert proc.returncode == 0, proc.stderr
 
 
+# 2,000 divisible primes: their divisible-socles family has 2,000 moduli of
+# 1,999 primes each
+SOCLES = " + ".join("Z(%d^inf)^w" % p
+                    for p in [p for p in range(2, 20000) if is_prime(p)][:2000])
+
+# Cold `szk` calls in bounded time: (argv, budget in s, exit code, expected).
+# At exit 0, stdout is expected and stderr is empty; at exit 1, stdout is
+# empty and stderr is one line that starts with expected.  Each id is the
+# name of the test that made the call before this table.
+BOUNDED_CALLS = [
+    # --count and --jobs are checked before any item is drawn
+    pytest.param(["--json", "fuzz", "--count", "-3"], 10, 1,
+                 "error: --count must be at least 0\n",
+                 id="test_fuzz_bad_arguments-count"),
+    pytest.param(["--json", "fuzz", "--jobs", "0"], 10, 1,
+                 "error: --jobs must be at least 1\n",
+                 id="test_fuzz_bad_arguments-jobs-zero"),
+    pytest.param(["--json", "fuzz", "--jobs", "-2"], 10, 1,
+                 "error: --jobs must be at least 1\n",
+                 id="test_fuzz_bad_arguments-jobs-negative"),
+    # two worker processes at most: --jobs beyond --count is cut to it
+    pytest.param(["fuzz", "--count", "2", "--seed", "5", "--jobs", "2"], 60, 0,
+                 "2 descriptions checked, zero disagreements\n",
+                 id="test_fuzz_jobs_cold-2-2"),
+    pytest.param(["fuzz", "--count", "1", "--seed", "5", "--jobs", "8"], 60, 0,
+                 "1 descriptions checked, zero disagreements\n",
+                 id="test_fuzz_jobs_cold-1-8"),
+    # 2^(10^11) is never built: the value is refused by its size, and so
+    # are an exponent and invariants of 3^(10^8)
+    pytest.param(["eval", "Z(2^1)^99999999999", "top"], 10, 1,
+                 "error: Exceeds the limit (",
+                 id="test_huge_index_value-cyclic-power"),
+    pytest.param(["--json", "eval", "Z(3^100000000)", "top"], 2, 1,
+                 "error: Exceeds the limit (",
+                 id="test_huge_index_value-exponent"),
+    pytest.param(["--json", "eval", "Z(3^100000000)^w", "top"], 2, 1,
+                 "error: Exceeds the limit (",
+                 id="test_huge_index_value-omega-exponent"),
+    pytest.param(["invariants", "Z(3^1)^100000000"], 2, 1,
+                 "error: Exceeds the limit (",
+                 id="test_huge_index_value-cyclic-invariant"),
+    pytest.param(["invariants", "Z(3^inf)^100000000"], 2, 1,
+                 "error: Exceeds the limit (",
+                 id="test_huge_index_value-divisible-invariant"),
+    pytest.param(["invariants", "tail(3,100000000)"], 2, 1,
+                 "error: Exceeds the limit (",
+                 id="test_huge_index_value-tail-invariant"),
+    # the payload holds one value per m: 10^6 of them took 5.6 s
+    pytest.param(["--json", "vc", "Z_(2)^w", "--m", "100001"], 2, 1,
+                 "error: --m must be at most 100000\n",
+                 id="test_vc_argument_cap"),
+    pytest.param(["rank", "Z(2305843009213693951^1)"], 2, 0,
+                 "dp-rank: 0\ncase: finite-group\nstrong: True\n",
+                 id="test_large_prime-rank"),
+    pytest.param(["eval", "Z(2^3)", "tor(2305843009213693951)"], 2, 0,
+                 "cardinality: 1\nexponent: 1\n"
+                 "cyc {'p': 2, 'n': 3} mult=1 local={'depth': 3}\n",
+                 id="test_large_prime-eval"),
+    # one explicit cyclic block per exponent up to 10^12: none is built
+    pytest.param(["index", "tail(2)", "div(2,1000000000000,0)", "tor(2)"], 2, 1,
+                 "error: tail splits need 1000000000000 cyclic blocks, "
+                 "cap is 10000\n",
+                 id="test_tail_split_refused"),
+    # the sum raises the tail's cutoff: its explicit blocks are counted
+    # before any is built
+    pytest.param(["normalize", "Z(2^1000000) + tail(2)"], 2, 1,
+                 "error: tail splits need 1000000 cyclic blocks, cap is "
+                 "10000 (at 0..22)\n",
+                 id="test_sum_cutoff_refused-exponent"),
+    pytest.param(["normalize", "tail(2) + tail(2,cutoff=300000)"], 2, 1,
+                 "error: tail splits need 300000 cyclic blocks, cap is "
+                 "10000 (at 0..31)\n",
+                 id="test_sum_cutoff_refused-cutoff"),
+    # 250,000 cosets of 10^6 bits each: refused before any is built
+    pytest.param(["shatter", "--orders", "1000", "1000", "--formulas", "tor(2)"],
+                 2, 1, "error: coset family needs 250000000000 mask bits, "
+                 "cap is 100000000\n",
+                 id="test_shatter_refused_by_size"),
+    # 2,500 cosets pass the mask cap; C(10^4, 2) pairs of points are
+    # refused before any is taken
+    pytest.param(["shatter", "--orders", "100", "100", "--formulas", "tor(2)"],
+                 2, 1, "error: pi(2) needs 49995000 samples times 4 traces, "
+                 "cap is 4000000\n",
+                 id="test_shatter_refused_by_samples"),
+    # pi(0) to pi(2) pass the sample cap and take seconds; pi(3) does not
+    pytest.param(["shatter", "--orders", "1414"] + ["--formulas", "tor(2)"] * 32
+                 + ["--n", "3"], 1, 1, "error: pi(3) needs 470191764 samples "
+                 "times 8 traces, cap is 4000000\n",
+                 id="test_shatter_table_refused_before_its_first_row"),
+    # the subgroup is read from 2^(10^8) mod 8; the power is never built.
+    # The runner reads stdout as text, so the CSV's \r\n ends read as \n
+    pytest.param(["shatter", "--orders", "8", "--formulas", "div(2,100000000,0)",
+                  "--n", "2"], 2, 0, "n,pi,pow2\n0,1,1\n1,2,2\n2,3,4\n",
+                 id="test_shatter_huge_exponent"),
+    # the longest modulus is measured from the product of all the primes
+    # before any is built
+    pytest.param(["--json", "rank", SOCLES], 1, 1,
+                 "error: divisible-socles witness family has moduli of over "
+                 "4300 digits, too long to print\n",
+                 id="test_divisible_socles_refused_quickly-rank"),
+    pytest.param(["--json", "witness", SOCLES], 1, 1,
+                 "error: divisible-socles witness family has moduli of over "
+                 "4300 digits, too long to print\n",
+                 id="test_divisible_socles_refused_quickly-witness"),
+    # adjacent omega blocks of the split tail conflict in pairs, and the
+    # slot scan grows no slot set past such a pair
+    pytest.param(["breadth", "tail(2,w)", "--pool-bound", "22", "--max-depth",
+                  "12"], 2, 0,
+                 "depth: 12\nwitness: div(2,1,0); div(2,3,1); div(2,5,2); "
+                 "div(2,7,3); div(2,9,4); div(2,11,5); div(2,13,6); div(2,15,7); "
+                 "div(2,17,8); div(2,19,9); div(2,21,10); tor(2048)\n"
+                 "exhausted: False\n",
+                 id="test_deep_breadth"),
+    # once a leaf has failed, the member search checks partial families
+    # before growing them; without that check this call ran for minutes
+    pytest.param(["breadth", MANY_FAILING_LEAVES, "--pool-bound", "3",
+                  "--max-depth", "5"], 10, 0,
+                 "depth: 5\nwitness: div(5,3,0); tor(750); tor(1050); "
+                 "tor(1750); tor(2625)\nexhausted: False\n",
+                 id="test_failing_leaves_cut_partial_families"),
+    pytest.param(["rank", "Z(%d^1)" % (33 * 10 ** 23)], 10, 1,
+                 "error: 3300000000000000000000000 is not prime (at 2..27)\n",
+                 id="test_beyond_exact_primality"),
+]
+
+
 class TestBoundedTime:
-    def test_huge_index_value(self):
-        # 2^(10^11) is never built: the value is refused by its size, and so
-        # are an exponent and invariants of 3^(10^8)
-        for argv, timeout in [
-                (["eval", "Z(2^1)^99999999999", "top"], 10),
-                (["--json", "eval", "Z(3^100000000)", "top"], 2),
-                (["--json", "eval", "Z(3^100000000)^w", "top"], 2),
-                (["invariants", "Z(3^1)^100000000"], 2),
-                (["invariants", "Z(3^inf)^100000000"], 2),
-                (["invariants", "tail(3,100000000)"], 2)]:
-            cold = run_szk(argv, timeout=timeout)
-            assert cold.code == 1 and cold.out == "", argv
-            assert cold.err.startswith("error: Exceeds the limit ("), argv
-            assert cold.err.count("\n") == 1, argv
-
-    def test_vc_argument_cap(self):
-        # the payload holds one value per m: 10^6 of them took 5.6 s
-        cold = run_szk(["--json", "vc", "Z_(2)^w", "--m", "100001"], timeout=2)
-        assert (cold.code, cold.out) == (1, "")
-        assert cold.err == "error: --m must be at most 100000\n"
-
-    @pytest.mark.parametrize("argv,expected", [
-        (["rank", "Z(2305843009213693951^1)"], "dp-rank: 0"),
-        (["eval", "Z(2^3)", "tor(2305843009213693951)"], "cardinality: 1"),
-    ], ids=["rank", "eval"])
-    def test_large_prime(self, argv, expected):
-        cold = run_szk(argv, timeout=2)
-        assert cold.code == 0, cold.err
-        assert cold.out.splitlines()[0] == expected
-
-    def test_tail_split_refused(self):
-        # one explicit cyclic block per exponent up to 10^12: none is built
-        cold = run_szk(["index", "tail(2)", "div(2,1000000000000,0)",
-                        "tor(2)"], timeout=2)
-        assert cold.code == 1 and cold.out == ""
-        assert cold.err == ("error: tail splits need 1000000000000 cyclic "
-                            "blocks, cap is 10000\n")
-
-    @pytest.mark.parametrize("text,blocks", [
-        ("Z(2^1000000) + tail(2)", 1000000),
-        ("tail(2) + tail(2,cutoff=300000)", 300000),
-    ], ids=["exponent", "cutoff"])
-    def test_sum_cutoff_refused(self, text, blocks):
-        # the sum raises the tail's cutoff: its explicit blocks are counted
-        # before any is built
-        cold = run_szk(["normalize", text], timeout=2)
-        assert cold.code == 1 and cold.out == ""
-        assert cold.err == ("error: tail splits need %d cyclic blocks, cap is "
-                            "10000 (at 0..%d)\n" % (blocks, len(text)))
-
-    def test_shatter_refused_by_size(self):
-        # 250,000 cosets of 10^6 bits each: refused before any is built
-        cold = run_szk(["shatter", "--orders", "1000", "1000",
-                        "--formulas", "tor(2)"], timeout=2)
-        assert cold.code == 1 and cold.out == ""
-        assert cold.err.startswith("error: coset family needs ")
-        assert cold.err.count("\n") == 1
-
-    def test_shatter_refused_by_samples(self):
-        # 2,500 cosets pass the mask cap; C(10^4, 2) pairs of points are
-        # refused before any is taken
-        cold = run_szk(["shatter", "--orders", "100", "100",
-                        "--formulas", "tor(2)"], timeout=2)
-        assert cold.code == 1 and cold.out == ""
-        assert cold.err.startswith("error: pi(2) needs 49995000 samples ")
-        assert cold.err.count("\n") == 1
-
-    def test_shatter_table_refused_before_its_first_row(self):
-        # pi(0) to pi(2) pass the sample cap and take seconds; pi(3) does not
-        cold = run_szk(["shatter", "--orders", "1414"]
-                       + ["--formulas", "tor(2)"] * 32 + ["--n", "3"], timeout=1)
-        assert cold.code == 1 and cold.out == ""
-        assert cold.err.startswith("error: pi(3) needs 470191764 samples ")
-        assert cold.err.count("\n") == 1
-
-    def test_shatter_huge_exponent(self):
-        # the subgroup is read from 2^(10^8) mod 8; the power is never built
-        cold = run_szk(["shatter", "--orders", "8", "--formulas",
-                        "div(2,100000000,0)", "--n", "2"], timeout=2)
-        assert cold.code == 0, cold.err
-        assert cold.out.splitlines() == ["n,pi,pow2", "0,1,1", "1,2,2", "2,3,4"]
+    @pytest.mark.parametrize("argv,seconds,code,expected", BOUNDED_CALLS)
+    def test_bounded_call(self, argv, seconds, code, expected):
+        cold = run_szk(argv, timeout=seconds)
+        if code == 0:
+            assert (cold.code, cold.out, cold.err) == (0, expected, "")
+        else:
+            assert (cold.code, cold.out) == (1, ""), cold.err
+            assert expected.startswith("error: ")
+            assert cold.err.startswith(expected), cold.err
+            assert cold.err.count("\n") == 1 and cold.err.endswith("\n")
 
     @staticmethod
     def long_group(terms):
@@ -654,37 +531,3 @@ class TestBoundedTime:
         assert report.dp == 8000
         assert classification == rank.Classification(True, True, False)
         assert vc.values == {1: 8000, 2: 16000}
-
-    def test_divisible_socles_refused_quickly(self):
-        # 2,000 moduli of 1,999 primes each are too long to print; the
-        # longest is measured from the product of all the primes before any
-        # is built
-        primes = [p for p in range(2, 20000) if is_prime(p)][:2000]
-        text = " + ".join("Z(%d^inf)^w" % p for p in primes)
-        for command in ("rank", "witness"):
-            cold = run_szk(["--json", command, text], timeout=1)
-            assert cold.code == 1 and cold.out == ""
-            assert cold.err == ("error: divisible-socles witness family has "
-                                "moduli of over 4300 digits, too long to "
-                                "print\n")
-
-    def test_deep_breadth(self):
-        # adjacent omega blocks of the split tail conflict in pairs, and the
-        # slot scan grows no slot set past such a pair
-        cold = run_szk(["breadth", "tail(2,w)", "--pool-bound", "22",
-                        "--max-depth", "12"], timeout=2)
-        assert cold.code == 0, cold.err
-        assert cold.out.splitlines()[0] == "depth: 12"
-
-    def test_failing_leaves_cut_partial_families(self):
-        # once a leaf has failed, the member search checks partial families
-        # before growing them; without that check this call ran for minutes
-        cold = run_szk(["breadth", MANY_FAILING_LEAVES, "--pool-bound", "3",
-                        "--max-depth", "5"], timeout=10)
-        assert cold.code == 0, cold.err
-        assert cold.out.splitlines()[0] == "depth: 5"
-
-    def test_beyond_exact_primality(self):
-        cold = run_szk(["rank", "Z(%d^1)" % (33 * 10 ** 23)], timeout=10)
-        assert cold.code == 1 and cold.out == ""
-        assert cold.err.startswith("error:") and cold.err.count("\n") == 1

@@ -4,16 +4,20 @@ and a corpus of breadth searches, byte for byte.
 The inputs cover every materialized block kind (cyc, tf, div, q, tail,
 ptail) with finite and omega multiplicities, finite and omega tails, and a
 pool-cap overflow; the text transcript adds every other subcommand and the
-input errors.  The breadth corpus runs the oracle on seeded mixed-corpus
-groups.  A refactor of the evaluator, the oracle or the CLI must leave all
-four transcripts unchanged.  After an intended change of output,
-rewrite the files with
+input errors.  These two are the one pin of each subcommand's output, and
+each exit-0 payload of the --json transcript is checked against its
+subcommand's schema as it is made, so an off-schema payload fails the test
+and is never written.  The breadth corpus runs the oracle on seeded
+mixed-corpus groups.  A refactor of the evaluator, the oracle or the CLI
+must leave all four transcripts unchanged.  After an intended change of
+output, rewrite the files with
 
     PYTHONPATH=src python -c "import tests.test_golden as g; g.write_golden()"
 """
 
 import contextlib
 import io
+import json
 import random
 import shlex
 from pathlib import Path
@@ -22,6 +26,7 @@ from szk import corpus
 from szk.cli import main
 from szk.dsl import parse_group, render_formula, render_group
 from szk.oracle import breadth_search, candidate_pool
+from tests.conftest import SCHEMAS, validate_payload
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -120,6 +125,8 @@ def cli_transcript(flags=("--json",), extra=()) -> str:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+        if code == 0 and "--json" in flags:
+            validate_payload(SCHEMAS[argv[len(flags)]], json.loads(out.getvalue()))
         parts.append("$ szk %s\nexit %d\n%s" % (shlex.join(argv), code,
                                                 out.getvalue()))
         if err.getvalue():

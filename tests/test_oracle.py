@@ -476,10 +476,7 @@ class TestPoolTimeBudget:
         with within(0.1):
             r = breadth_search(g, 7, dp + 1)
         assert (r.depth, r.exhausted) == (dp, True)
-        primes, blocks = oracle._pool(normalize(g), 7)
-        slotted = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
-        pool = oracle._Pool(primes, 7, slotted)
-        assert len(search_order(pool)) == 2586
+        assert len(search_order(oracle._setup(g, 7)[0])) == 2586
 
     @pytest.mark.parametrize("text,B,maxK,depth,exhausted,seconds",
                              BOUNDED_SEARCHES)
@@ -704,9 +701,7 @@ class TestSearchMatchesReference:
         # 6 is the CLI default
         for desc in finite_dp_corpus[:40] + mixed_corpus[:40]:
             B = min(normalize(desc).max_exponent() + 2, 4)
-            primes, blocks = oracle._pool(normalize(desc), B)
-            slotted = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
-            for maxK in (slot_bound(slotted) + 2, 6):
+            for maxK in (slot_bound(oracle._setup(desc, B)[1]) + 2, 6):
                 self.check(desc, B, maxK)
         for text, B, maxK, _depth in CAP_ABOVE_DEPTH:
             self.check(parse_group(text), B, maxK)
@@ -720,9 +715,7 @@ class TestSearchMatchesReference:
 
     def test_slowest_fuzz_shape(self):
         g = parse_group(P98_SHAPE)
-        primes, blocks = oracle._pool(normalize(g), 7)
-        slotted = tuple(b for b in blocks if KINDS[b[0]].modes(b[2]))
-        pool = oracle._Pool(primes, 7, slotted)
+        pool = oracle._setup(g, 7)[0]
         # over a third of the m's are past 2^30, multi-digit ints: the search
         # order is still an exact sort of the class products by m
         products = [(math.prod(map(tuple.__getitem__, pool.pms, cs)), cs)
@@ -889,34 +882,18 @@ class TestPerPrimeLevels:
     and on a strong group the levels add up to the dp-rank.  This is
     evidence at a finite pool bound, not a proof."""
 
-    def levels(self, monkeypatch, desc, B):
-        # the blocks, slot tables, holders and validity check of a real
-        # search, read off the calls breadth_search makes
-        seen = {}
-        slots_of, deepest = oracle._slots, oracle._deepest
-
-        def spy_slots(blocks, holders):
-            seen["blocks"] = blocks
-            return slots_of(blocks, holders)
-
-        def spy_deepest(slots, maxK, holders, valid):
-            seen["search"] = slots, holders, valid
-            return deepest(slots, maxK, holders, valid)
-
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "_slots", spy_slots)
-            m.setattr(oracle, "_deepest", spy_deepest)
-            breadth_search(desc, B, 1)
-        blocks = seen["blocks"]
-        slots, holders, valid = seen["search"]
+    def levels(self, desc, B):
+        # the blocks, holders and validity check of a real search, split
+        # into the slots of each prime
+        _pool, blocks, holders, valid = oracle._setup(desc, B)
         at = {}
-        for slot in slots:
+        for slot in oracle._slots(blocks, holders):
             kind, data, _mult = blocks[slot[0][0]]
             at.setdefault(data[0] if KINDS[kind].has_prime else None,
                           []).append(slot)
         levels = {}
         for p, sub in at.items():
-            best, exhausted = deepest(sub, 8, holders, valid)
+            best, exhausted = oracle._deepest(sub, 8, holders, valid)
             assert exhausted
             levels[p] = len(best)
         return levels
@@ -924,11 +901,10 @@ class TestPerPrimeLevels:
     @pytest.mark.parametrize("text,expected,dp", PER_PRIME,
                              ids=["tail2", "tail2-tail3", "strong-3",
                                   "strong-4"])
-    def test_levels_grow_at_the_omega_tails(self, monkeypatch, text,
-                                            expected, dp):
+    def test_levels_grow_at_the_omega_tails(self, text, expected, dp):
         g = parse_group(text)
         B0 = normalize(g).max_exponent() + 2
-        low, high = (self.levels(monkeypatch, g, B) for B in (B0, 2 * B0))
+        low, high = (self.levels(g, B) for B in (B0, 2 * B0))
         assert {p: (low[p], high[p]) for p in low} == expected
         assert high.keys() == low.keys()
         assert ({p for p in low if high[p] > low[p]}

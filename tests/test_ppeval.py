@@ -192,25 +192,18 @@ class TestIndexClass:
         k = eval_formula(g, parse_formula("div(2,3,1)"))
         assert index_class(h, meet(h, k)).is_infinite
 
-    def test_shared_blocks_skip_materialize(self, monkeypatch):
-        calls = []
-        real = ppeval.materialize
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
+    def test_shared_blocks_skip_materialize(self):
         g = parse_group("Z(2^3)^2 + Z(3^1)^w")
         h = eval_formula(g, parse_formula("tor(4)"))
         k = eval_formula(g, parse_formula("tor(6)"))
         both = eval_formula(g, parse_formula("tor(4) & tor(6)"))
         assert h.blocks == k.blocks
-        monkeypatch.setattr(ppeval, "materialize", counted)
         ppeval._materialized.cache_clear()
         # 2-part: the 4-torsion (order 16) over the 2-torsion (order 4)
         assert index_class(h, k) == Index.of(4)
         assert meet(h, k) == both
-        assert calls == []
+        info = ppeval._materialized.cache_info()
+        assert (info.hits, info.misses) == (0, 0)
         # tails split at different heights: index_class materializes the
         # shared split once, and meet reads it from the block memo
         g = parse_group("tail(2)")
@@ -219,10 +212,10 @@ class TestIndexClass:
         assert h.blocks != k.blocks
         both = eval_formula(g, parse_formula("tor(4) & div(2,3,1)"))
         ppeval._materialized.cache_clear()
-        calls.clear()
         assert index_class(h, k) == Index.of(4)
         assert meet(h, k) == both
-        assert len(calls) == 1
+        info = ppeval._materialized.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
     # expected index, None for infinite; the one-prime groups keep the
     # comparison on a single block of the named kind (the prime-tail
